@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .network import ParseError, parse_bnet
-from .solver import (
-    SolverTimeout,
-    fixed_points,
-    maximal_trap_spaces,
-    minimal_trap_spaces,
-)
+from .solver import Query, SolverTimeout, run_query
 
-PROBLEMS = ("fix", "min", "max")
+QUERY_KINDS = {
+    "fix": "fixed-points",
+    "min": "minimal-trap-spaces",
+    "max": "maximal-trap-spaces",
+}
+PROBLEMS = tuple(QUERY_KINDS)
 THRESHOLDS = (0.5, 2.0, 10.0, 60.0, 600.0, 3600.0)
 THRESHOLD_LABELS = ("<0.5s", "<2s", "<10s", "<1min", "<10min", "<1h")
 
@@ -34,18 +34,6 @@ class BenchRecord:
     status: str  # ok | timeout | error
 
 
-def _first_solution(net, problem, deadline):
-    if problem == "fix":
-        stream = fixed_points(net, deadline=deadline, limit=1)
-    elif problem == "min":
-        stream = minimal_trap_spaces(net, deadline=deadline, limit=1)
-    elif problem == "max":
-        stream = maximal_trap_spaces(net, deadline=deadline, limit=1)
-    else:
-        raise ValueError("unknown problem %r" % problem)
-    return next(stream, None)
-
-
 def run_model(path, problem, timeout):
     """Benchmark one model file; returns a BenchRecord."""
     path = Path(path)
@@ -55,7 +43,9 @@ def run_model(path, problem, timeout):
         net = parse_bnet(path.read_text())
         if time.monotonic() > deadline:
             raise SolverTimeout
-        _first_solution(net, problem, deadline)
+        # an unknown problem name fails in run_query as an unknown kind
+        query = Query(QUERY_KINDS.get(problem, problem), limit=1)
+        next(run_query(net, query, deadline), None)
         status = "ok"
     except SolverTimeout:
         status = "timeout"

@@ -1,6 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 usage error, 2 model parse error.  Solutions are
+Exit codes: 0 success, 1 usage error, 2 model error (the model cannot be
+read, parsed, validated or normalized).  Solutions are
 printed one per line, either as cube strings in component declaration
 order or, with --json, as one JSON object per line mapping each component
 name to "0", "1" or "*".
@@ -29,7 +30,7 @@ from .dynamics import (
     stg_to_json_obj,
 )
 from .generator import FAMILIES, GenSpec, generate_bnet
-from .network import NetworkError, ParseError, parse_bnet
+from .network import NetworkError, NormalizationError, ParseError, parse_bnet
 from .solver import fixed_points, maximal_trap_spaces, minimal_trap_spaces
 
 
@@ -252,7 +253,7 @@ def main(argv=None, out=None, err=None):
     except UsageError as exc:
         err.write("usage error: %s\n" % exc)
         return 1
-    except (ParseError, NetworkError) as exc:
+    except (ParseError, NetworkError, NormalizationError) as exc:
         err.write("model error: %s\n" % exc)
         return 2
     except (CubeError, DynamicsError, ValueError) as exc:

@@ -10,8 +10,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .network import evaluate
-
 FREE = 2
 
 _SYMBOLS = "01*"
@@ -77,9 +75,6 @@ class Cube:
     @property
     def is_state(self):
         return FREE not in self.values
-
-    def free_count(self):
-        return self.values.count(FREE)
 
     def contains(self, state):
         """True iff the binary state is a vertex of the cube."""
@@ -206,10 +201,6 @@ def is_trap_space(net, cube):
     return True
 
 
-def closure_of_state(net, state):
-    return closure(net, Cube.from_state(state))
-
-
 def state_to_str(state):
     return "".join(str(v) for v in state)
 
@@ -221,10 +212,6 @@ def parse_state(text, n):
     return tuple(int(ch) for ch in text)
 
 
-def image_in_cube(net, state, cube):
-    return cube.contains(net.image(state))
-
-
 __all__ = [
     "FREE",
     "Cube",
@@ -233,9 +220,7 @@ __all__ = [
     "eval_mask",
     "eval_on_cube",
     "closure",
-    "closure_of_state",
     "is_trap_space",
     "state_to_str",
     "parse_state",
-    "evaluate",
 ]

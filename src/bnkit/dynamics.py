@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 
-from .cubes import FREE, Cube, closure, eval_mask, state_to_str
+from .cubes import FREE, Cube, closure, eval_mask, state_to_str, vertices
 from .solver import minimal_trap_spaces
 
 INC = 2
@@ -114,31 +114,18 @@ def ext_state_to_str(ext_state):
     return "".join(_EXT_SYMBOLS[v] for v in ext_state)
 
 
-def _boolean_nodes(net, restrict):
-    cube = restrict if restrict is not None else Cube.full(net.n)
-    free = [i for i, v in enumerate(cube.values) if v == FREE]
-    base = list(cube.values)
-    k = len(free)
-    for bits in range(1 << k):
-        for pos, i in enumerate(free):
-            base[i] = (bits >> (k - 1 - pos)) & 1
-        yield tuple(base)
-
-
-def _mp_nodes(net, restrict):
-    if restrict is None:
-        domains = [(0, 1, INC, DEC)] * net.n
-    else:
-        # keep extended states whose gamma-cube meets the restriction
-        domains = [
-            (0, 1, INC, DEC) if v == FREE else (v, INC, DEC)
-            for v in restrict.values
-        ]
+def _mp_nodes(restrict):
+    # keep extended states whose gamma-cube meets the restriction
+    domains = [
+        (0, 1, INC, DEC) if v == FREE else (v, INC, DEC) for v in restrict.values
+    ]
     return product(*domains)
 
 
 def build_stg(net, mode, restrict=None, cap=None):
     """Full state transition graph, nodes sorted lexicographically."""
+    if restrict is None:
+        restrict = Cube.full(net.n)
     if mode == "mp":
         limit = DEFAULT_MP_STG_CAP if cap is None else cap
         if net.n > limit:
@@ -146,7 +133,7 @@ def build_stg(net, mode, restrict=None, cap=None):
                 "network too large for an explicit mp STG (n=%d, cap=%d)"
                 % (net.n, limit)
             )
-        nodes = set(_mp_nodes(net, restrict))
+        nodes = set(_mp_nodes(restrict))
         succ = lambda s: mp_successors(net, s)
         label = ext_state_to_str
     else:
@@ -156,7 +143,7 @@ def build_stg(net, mode, restrict=None, cap=None):
                 "network too large for an explicit STG (n=%d, cap=%d)"
                 % (net.n, limit)
             )
-        nodes = set(_boolean_nodes(net, restrict))
+        nodes = set(vertices(restrict, cap=net.n))
         succ = lambda s: successors(net, s, mode)
         label = state_to_str
     edges = []
@@ -179,7 +166,9 @@ def mp_projected_stg(net, restrict=None, cap=10):
         raise DynamicsError(
             "network too large for the projected mp STG (n=%d, cap=%d)" % (net.n, cap)
         )
-    nodes = list(_boolean_nodes(net, restrict))
+    if restrict is None:
+        restrict = Cube.full(net.n)
+    nodes = list(vertices(restrict, cap=net.n))
     node_set = set(nodes)
     edges = []
     for state in nodes:
@@ -226,22 +215,13 @@ def reachability(net, x, y, mode="mp", cap=None):
         # cheap exact filter: mp trajectories stay inside the closure of x
         if not closure(net, Cube.from_state(x)).contains(y):
             return False
-        seen = {x}
-        queue = deque([x])
-        while queue:
-            state = queue.popleft()
-            for nxt in mp_successors(net, state):
-                if nxt == y:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return False
+        step = lambda s: mp_successors(net, s)
+    else:
+        step = lambda s: successors(net, s, mode)
     seen = {x}
     queue = deque([x])
     while queue:
-        state = queue.popleft()
-        for nxt in successors(net, state, mode):
+        for nxt in step(queue.popleft()):
             if nxt == y:
                 return True
             if nxt not in seen:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expressions import (
+    RESERVED,
     And,
     Const,
     ExprSyntaxError,
@@ -233,13 +234,12 @@ def build_bdd(dnf):
 class NodeFunction:
     """One component's update function: canonical DNF plus optional BDD."""
 
-    __slots__ = ("dnf", "unate", "bdd", "source", "support")
+    __slots__ = ("dnf", "unate", "bdd", "support")
 
-    def __init__(self, dnf, unate, bdd, source):
+    def __init__(self, dnf, unate, bdd):
         self.dnf = dnf
         self.unate = unate
         self.bdd = bdd
-        self.source = source
         self.support = dnf.support()
 
     def __repr__(self):
@@ -254,7 +254,7 @@ def normalize(expr, index, clause_cap=DEFAULT_CLAUSE_CAP):
     dnf = _canonical(_to_clauses(expr, index, True, clause_cap))
     unate = dnf.is_unate()
     bdd = None if unate else build_bdd(dnf)
-    return NodeFunction(dnf, unate, bdd, expr)
+    return NodeFunction(dnf, unate, bdd)
 
 
 def evaluate(fn, state):
@@ -314,7 +314,23 @@ class BooleanNetwork:
         return "BooleanNetwork(%d components)" % self.n
 
 
-_HEADER_RE = None
+# Words the expression grammar reads as operators or constants.
+_RESERVED_NAMES = RESERVED | {"0", "1"}
+
+
+def _name_problem(name):
+    """Why `name` cannot name a component, or None when it can."""
+    if not name or not name.replace("_", "").isalnum() or not name.isascii():
+        return "invalid component name %r" % name
+    if name.lower() in _RESERVED_NAMES:
+        return "reserved word %r used as component name" % name
+    return None
+
+
+def _first_undeclared(expr, index):
+    """First (sorted) name the expression references outside `index`."""
+    missing = [name for name in variables(expr) if name not in index]
+    return min(missing) if missing else None
 
 
 def parse_bnet(text, clause_cap=DEFAULT_CLAUSE_CAP):
@@ -335,10 +351,9 @@ def parse_bnet(text, clause_cap=DEFAULT_CLAUSE_CAP):
         expr_text = expr_text.strip()
         if not entries and name.lower() == "targets" and expr_text.lower() == "factors":
             continue
-        if not name or not name.replace("_", "").isalnum() or not name.isascii():
-            raise ParseError("invalid component name %r" % name, lineno)
-        if name.lower() in ("and", "or", "not", "true", "false"):
-            raise ParseError("reserved word %r used as component name" % name, lineno)
+        problem = _name_problem(name)
+        if problem:
+            raise ParseError(problem, lineno)
         entries.append((name, expr_text, lineno))
 
     names = [name for name, _, _ in entries]
@@ -355,11 +370,9 @@ def parse_bnet(text, clause_cap=DEFAULT_CLAUSE_CAP):
             expr = parse_expression(expr_text)
         except ExprSyntaxError as exc:
             raise ParseError(str(exc), lineno) from exc
-        undeclared = variables(expr) - index.keys()
-        if undeclared:
-            raise ParseError(
-                "undeclared component %r referenced" % sorted(undeclared)[0], lineno
-            )
+        undeclared = _first_undeclared(expr, index)
+        if undeclared is not None:
+            raise ParseError("undeclared component %r referenced" % undeclared, lineno)
         components.append((name, normalize(expr, index, clause_cap)))
     return BooleanNetwork(components)
 
@@ -368,16 +381,15 @@ def set_function(net, name, expr_text, clause_cap=DEFAULT_CLAUSE_CAP):
     """Return a new network with the named function replaced or added."""
     names = list(net.names)
     if name not in net.index:
-        if not name or not name.replace("_", "").isalnum() or not name.isascii():
-            raise NetworkError("invalid component name %r" % name)
+        problem = _name_problem(name)
+        if problem:
+            raise NetworkError(problem)
         names.append(name)
     index = {n: i for i, n in enumerate(names)}
     expr = parse_expression(expr_text)
-    undeclared = variables(expr) - index.keys()
-    if undeclared:
-        raise NetworkError(
-            "undeclared component %r referenced" % sorted(undeclared)[0]
-        )
+    undeclared = _first_undeclared(expr, index)
+    if undeclared is not None:
+        raise NetworkError("undeclared component %r referenced" % undeclared)
     fn = normalize(expr, index, clause_cap)
     components = []
     for existing in net.names:

@@ -1,12 +1,13 @@
 """Enumeration of fixed points and minimal/maximal trap spaces.
 
-Two native propagate-and-branch engines replace an external solver:
-
-* a two-valued search over states for fixed points, with unit propagation
-  inside the DNF clauses of the constraint ``x_i = f_i(x)``;
-* a three-valued search over per-component value sets {0}, {1}, {0,1} for
-  trap spaces, whose closedness constraint ``eval(f_i, S) subset S_i`` is
-  checked through the exact cube evaluation of the cubes module.
+One native propagate-and-branch engine replaces an external solver: a
+search over per-component value sets {0}, {1}, {0,1} and FREE, whose
+closedness constraint ``eval(f_i, S) subset S_i`` is checked through the
+exact cube evaluation of the cubes module.  Fixed points are the trap
+spaces with no free component, so they are this search over the domains
+{0, 1}; there every function is evaluated at a single point and the
+engine reduces to unit propagation inside the DNF clauses of
+``x_i = f_i(x)``.
 
 Minimal trap spaces are found by descending through closures of states
 and certified by searching for a strictly smaller trap space; maximal
@@ -39,11 +40,6 @@ class Query:
     limit: int | None = None
 
 
-def _check_limit(limit):
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be >= 1")
-
-
 class _Deadline:
     __slots__ = ("at", "tick")
 
@@ -65,169 +61,24 @@ class _Deadline:
             raise SolverTimeout
 
 
+def _start(net, within, limit, deadline):
+    """Common enumerator preamble: the validated restriction and the clock."""
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1")
+    if within is None:
+        within = Cube.full(net.n)
+    if len(within) != net.n:
+        raise ValueError("restriction cube has wrong length")
+    clock = _Deadline(deadline)
+    clock.check_now()
+    return within, clock
+
+
 def _branch_order(net, reverse=False):
     order = sorted(range(net.n), key=lambda i: (-net.occ_count[i], i))
     if reverse:
         order.reverse()
     return order
-
-
-# ---------------------------------------------------------------------------
-# Fixed points
-
-
-def fixed_points(net, within=None, limit=None, deadline=None, reverse_order=False):
-    """Stream the states x in `within` with f(x) = x."""
-    _check_limit(limit)
-    n = net.n
-    if within is None:
-        within = Cube.full(n)
-    if len(within) != n:
-        raise ValueError("restriction cube has wrong length")
-    clock = _Deadline(deadline)
-    clock.check_now()
-
-    functions = net.functions
-    dependents = net.dependents
-    # values: 0/1 assigned, FREE (2) = unassigned
-    values = [FREE] * n
-    trail = []
-
-    def propagate(dirty):
-        """Unit propagation of x_i = f_i(x); returns False on conflict."""
-        queue = list(dirty)
-        seen = set(queue)
-        while queue:
-            clock.poll()
-            i = queue.pop()
-            seen.discard(i)
-            target = values[i]
-            implied = []
-            clauses = functions[i].dnf.clauses
-            if not clauses:
-                if target == 1:
-                    return False
-                if target == FREE:
-                    implied.append((i, 0))
-            elif clauses[0] == ():
-                if target == 0:
-                    return False
-                if target == FREE:
-                    implied.append((i, 1))
-            else:
-                sat = False
-                live = []
-                for clause in clauses:
-                    unassigned = None
-                    falsified = False
-                    multi = False
-                    for comp, val in clause:
-                        v = values[comp]
-                        if v == FREE:
-                            if unassigned is None:
-                                unassigned = (comp, val)
-                            else:
-                                multi = True
-                        elif v != val:
-                            falsified = True
-                            break
-                    if falsified:
-                        continue
-                    if unassigned is None:
-                        sat = True
-                        break
-                    live.append((unassigned, multi, clause))
-                if target == 1:
-                    if not sat:
-                        if not live:
-                            return False
-                        if len(live) == 1:
-                            for comp, val in live[0][2]:
-                                if values[comp] == FREE:
-                                    implied.append((comp, val))
-                elif target == 0:
-                    if sat:
-                        return False
-                    for unassigned, multi, _ in live:
-                        if not multi:
-                            comp, val = unassigned
-                            implied.append((comp, 1 - val))
-                else:
-                    if sat:
-                        implied.append((i, 1))
-                    elif not live:
-                        implied.append((i, 0))
-            for comp, val in implied:
-                cur = values[comp]
-                if cur != FREE:
-                    if cur != val:
-                        return False
-                    continue
-                values[comp] = val
-                trail.append(comp)
-                for t in dependents[comp]:
-                    if t not in seen:
-                        seen.add(t)
-                        queue.append(t)
-                if comp not in seen:
-                    seen.add(comp)
-                    queue.append(comp)
-        return True
-
-    # Seed from the restriction, then run propagation to fixpoint.
-    for i, v in enumerate(within.values):
-        if v != FREE:
-            values[i] = v
-            trail.append(i)
-    ok = propagate(range(n))
-    if not ok:
-        return
-
-    order = _branch_order(net, reverse_order)
-    emitted = 0
-    # decision stack entries: [var, remaining values, trail mark, order ptr]
-    stack = []
-    ptr = 0
-
-    def backtrack_to(mark):
-        while len(trail) > mark:
-            values[trail.pop()] = FREE
-
-    while True:
-        clock.poll()
-        var = None
-        while ptr < n:
-            if values[order[ptr]] == FREE:
-                var = order[ptr]
-                break
-            ptr += 1
-        if var is None:
-            yield tuple(values)
-            emitted += 1
-            if limit is not None and emitted >= limit:
-                return
-            conflict = True
-        else:
-            mask = eval_mask(functions[var], values)
-            first = 0 if mask & 1 else 1
-            stack.append([var, [1 - first], len(trail), ptr])
-            values[var] = first
-            trail.append(var)
-            conflict = not propagate([var] + dependents[var])
-        while conflict:
-            if not stack:
-                return
-            top = stack[-1]
-            backtrack_to(top[2])
-            ptr = top[3]
-            if top[1]:
-                val = top[1].pop()
-                var = top[0]
-                values[var] = val
-                trail.append(var)
-                conflict = not propagate([var] + dependents[var])
-            else:
-                stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -252,32 +103,52 @@ def _trap_search(
     ``(component, admissible symbol set)`` literals, at least one of which
     must hold in every solution.
 
+    A component none of whose regulators may be FREE is two-valued: its
+    function is evaluated at a single state, so clause reasoning is exact
+    for it whatever the function's form, and its check does not wait for
+    a complete support.  With every domain inside {0, 1} (fixed points)
+    all components are two-valued.
+
     With ``scope``, only the given components are searched; all others
     must have singleton domains (they are pinned up front) and their
     closedness is not re-checked, which the callers guarantee to be sound.
     """
+    if not all(allowed):
+        return
     n = net.n
     functions = net.functions
-    scoped = scope is not None
-    scope = range(n) if scope is None else sorted(scope)
-    scope_set = set(scope)
-    dependents = [
-        [t for t in net.dependents[i] if t in scope_set] for i in range(n)
+    two_valued = [True] * n
+    for i, opts in enumerate(allowed):
+        if FREE in opts:
+            for t in net.dependents[i]:
+                two_valued[t] = False
+    # regulator order for support completion, which skips two-valued comps
+    supports = [
+        None if tv else sorted(fn.support) for fn, tv in zip(functions, two_valued)
     ]
-    supports = [sorted(fn.support) for fn in net.functions]
+    unassigned_support = [len(fn.support) for fn in functions]
 
     values = [_UNASSIGNED] * n  # symbol or -1
     uview = [FREE] * n  # upper-bound cube: assigned 0/1 else FREE
-    if scoped:
+    if scope is None:
+        scope = range(n)
+        dependents = net.dependents
+        order = _branch_order(net, reverse_order)
+    else:
+        scope = sorted(scope)
+        scope_set = set(scope)
+        dependents = [
+            [t for t in net.dependents[i] if t in scope_set] for i in range(n)
+        ]
+        order = [i for i in _branch_order(net, reverse_order) if i in scope_set]
         for i in range(n):
             if i not in scope_set:
                 sym = next(iter(allowed[i]))
                 values[i] = sym
                 if sym != FREE:
                     uview[i] = sym
-    unassigned_support = [
-        sum(1 for s in supports[i] if values[s] == _UNASSIGNED) for i in range(n)
-    ]
+                for t in net.dependents[i]:
+                    unassigned_support[t] -= 1
     # Clause state is kept incrementally: sat_count counts assigned
     # literals that satisfy the clause, open_count the unassigned ones
     # that still could.
@@ -307,7 +178,9 @@ def _trap_search(
                 sat_count[ci] -= 1
 
     trail = []
-    heap = []  # (unassigned regulators, comp) for fixed, not-yet-exact comps
+    # (unassigned regulators, comp) for fixed, not-yet-exact comps that
+    # are not two-valued
+    heap = []
 
     def check_function(i):
         """Closedness check for component i; None on conflict else implications."""
@@ -315,11 +188,12 @@ def _trap_search(
         if vi == FREE:
             return ()
         fn = functions[i]
-        if fn.unate and vi != _UNASSIGNED:
-            # For unate functions evaluation stays within {1} iff some
-            # clause is fully fixed true, and within {0} iff every clause
-            # carries a fixed-false literal; propagate the last open way
-            # of meeting the target.
+        if vi != _UNASSIGNED and (fn.unate or two_valued[i]):
+            # For unate functions, and for any function of a two-valued
+            # component, evaluation stays within {1} iff some clause is
+            # fully fixed true, and within {0} iff every clause carries a
+            # fixed-false literal; propagate the last open way of meeting
+            # the target.
             if vi == 1:
                 candidates = []
                 for clause in fn.dnf.clauses:
@@ -363,7 +237,9 @@ def _trap_search(
                     implied.append(forcible[0])
             return tuple(implied)
         exact = unassigned_support[i] == 0
-        mask = eval_mask(functions[i], uview)
+        if vi == _UNASSIGNED and not exact and FREE in allowed[i]:
+            return ()
+        mask = eval_mask(fn, uview)
         if vi != _UNASSIGNED:
             # masks only shrink as the cube narrows, so a value that is
             # unachievable now stays unachievable
@@ -372,10 +248,9 @@ def _trap_search(
             if mask & (1 << (1 - vi)) and exact:
                 return None
             return ()
-        if not exact:
-            return ()
         if mask == 3:
-            return ((i, FREE),)
+            # a component that cannot be FREE waits for a determined value
+            return ((i, FREE),) if exact else ()
         want = 0 if mask == 1 else 1
         opts = allowed[i] & {want, FREE}
         if not opts:
@@ -400,12 +275,24 @@ def _trap_search(
                         return ()
         return ()
 
-    def propagate(fun_dirty, clause_dirty):
-        fun_queue = list(fun_dirty)
-        clause_queue = list(clause_dirty)
+    def assign(comp, sym, fun_queue, clause_queue):
+        values[comp] = sym
+        if sym != FREE:
+            uview[comp] = sym
+            if unassigned_support[comp] and not two_valued[comp]:
+                heapq.heappush(heap, (unassigned_support[comp], comp))
+        trail.append(comp)
+        for t in dependents[comp]:
+            unassigned_support[t] -= 1
+            if unassigned_support[t] and uview[t] != FREE and not two_valued[t]:
+                heapq.heappush(heap, (unassigned_support[t], t))
+            fun_queue.append(t)
+        fun_queue.append(comp)
+        clause_queue.extend(clauses_assign(comp, sym))
+
+    def propagate(fun_queue, clause_queue):
         while fun_queue or clause_queue:
             clock.poll()
-            implied = ()
             if fun_queue:
                 implied = check_function(fun_queue.pop())
             else:
@@ -420,20 +307,13 @@ def _trap_search(
                     continue
                 if sym not in allowed[comp]:
                     return False
-                values[comp] = sym
-                if sym != FREE:
-                    uview[comp] = sym
-                    if unassigned_support[comp]:
-                        heapq.heappush(heap, (unassigned_support[comp], comp))
-                trail.append(comp)
-                for t in dependents[comp]:
-                    unassigned_support[t] -= 1
-                    if unassigned_support[t] and uview[t] != FREE:
-                        heapq.heappush(heap, (unassigned_support[t], t))
-                    fun_queue.append(t)
-                fun_queue.append(comp)
-                clause_queue.extend(clauses_assign(comp, sym))
+                assign(comp, sym, fun_queue, clause_queue)
         return True
+
+    def decide(var, sym):
+        fun_queue, clause_queue = [], []
+        assign(var, sym, fun_queue, clause_queue)
+        return propagate(fun_queue, clause_queue)
 
     def backtrack_to(mark):
         while len(trail) > mark:
@@ -443,13 +323,10 @@ def _trap_search(
             uview[comp] = FREE
             for t in dependents[comp]:
                 unassigned_support[t] += 1
-                if uview[t] != FREE:
+                if uview[t] != FREE and not two_valued[t]:
                     heapq.heappush(heap, (unassigned_support[t], t))
 
     # Level-0: pin singleton domains, then propagate everything once.
-    for opts in allowed:
-        if not opts:
-            return
     for i in scope:
         opts = allowed[i]
         if len(opts) == 1:
@@ -461,7 +338,7 @@ def _trap_search(
             for t in dependents[i]:
                 unassigned_support[t] -= 1
     for i in scope:
-        if uview[i] != FREE and unassigned_support[i]:
+        if uview[i] != FREE and unassigned_support[i] and not two_valued[i]:
             heapq.heappush(heap, (unassigned_support[i], i))
     for ci, clause in enumerate(or_clauses):
         for comp, syms in clause:
@@ -471,10 +348,9 @@ def _trap_search(
                     open_count[ci] += 1
             elif v in syms:
                 sat_count[ci] += 1
-    if not propagate(scope, range(len(or_clauses))):
+    if not propagate(list(scope), list(range(len(or_clauses)))):
         return
 
-    order = [i for i in _branch_order(net, reverse_order) if i in scope_set]
     stack = []
     ptr = 0
 
@@ -509,19 +385,6 @@ def _trap_search(
                 syms = [0, 1, FREE]
         return [s for s in syms if s in allowed[var]]
 
-    def assign(var, sym):
-        values[var] = sym
-        if sym != FREE:
-            uview[var] = sym
-            if unassigned_support[var]:
-                heapq.heappush(heap, (unassigned_support[var], var))
-        trail.append(var)
-        for t in dependents[var]:
-            unassigned_support[t] -= 1
-            if unassigned_support[t] and uview[t] != FREE:
-                heapq.heappush(heap, (unassigned_support[t], t))
-        return propagate(dependents[var] + [var], clauses_assign(var, sym))
-
     while True:
         clock.poll()
         var = pick_support_var()
@@ -541,7 +404,7 @@ def _trap_search(
             else:
                 first, rest = syms[0], syms[1:]
                 stack.append([var, rest, len(trail), ptr])
-                conflict = not assign(var, first)
+                conflict = not decide(var, first)
         while conflict:
             if not stack:
                 return
@@ -549,9 +412,29 @@ def _trap_search(
             backtrack_to(top[2])
             ptr = top[3]
             if top[1]:
-                conflict = not assign(top[0], top[1].pop(0))
+                conflict = not decide(top[0], top[1].pop(0))
             else:
                 stack.pop()
+
+
+# ---------------------------------------------------------------------------
+# Fixed points
+
+
+def fixed_points(net, within=None, limit=None, deadline=None, reverse_order=False):
+    """Stream the states x in `within` with f(x) = x.
+
+    A fixed point is a trap space without free components, so this is the
+    trap-space search over the domains {0, 1}.  States come out in
+    lexicographic order of the branching order (0 before 1).
+    """
+    within, clock = _start(net, within, limit, deadline)
+    allowed = [{0, 1} if v == FREE else {v} for v in within.values]
+    found = _trap_search(net, allowed, [], False, clock, reverse_order)
+    for count, cube in enumerate(found, 1):
+        yield cube.values
+        if count == limit:
+            return
 
 
 def _allowed_within(within):
@@ -856,14 +739,7 @@ def minimal_trap_spaces(
     net, within=None, limit=None, deadline=None, seed=0, reverse_order=False
 ):
     """Stream the subset-minimal trap spaces contained in `within`."""
-    _check_limit(limit)
-    n = net.n
-    if within is None:
-        within = Cube.full(n)
-    if len(within) != n:
-        raise ValueError("restriction cube has wrong length")
-    clock = _Deadline(deadline)
-    clock.check_now()
+    within, clock = _start(net, within, limit, deadline)
     rng = random.Random(seed)
     emitted = []
     while limit is None or len(emitted) < limit:
@@ -958,18 +834,11 @@ def maximal_trap_spaces(
     net, within=None, limit=None, deadline=None, reverse_order=False
 ):
     """Stream the subset-maximal trap spaces in `within`, full cube excluded."""
-    _check_limit(limit)
-    n = net.n
-    if within is None:
-        within = Cube.full(n)
-    if len(within) != n:
-        raise ValueError("restriction cube has wrong length")
-    clock = _Deadline(deadline)
-    clock.check_now()
+    within, clock = _start(net, within, limit, deadline)
     emitted = []
     while limit is None or len(emitted) < limit:
         allowed = _allowed_within(within)
-        clauses = [[(i, {0, 1}) for i in range(n)]]
+        clauses = [[(i, {0, 1}) for i in range(net.n)]]
         clauses.extend(_not_subset_clause(t) for t in emitted)
         candidate = next(
             _trap_search(net, allowed, clauses, True, clock, reverse_order), None

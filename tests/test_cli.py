@@ -1,9 +1,12 @@
+import functools
 import io
 import json
 
 import pytest
 
+import bnkit.cli
 from bnkit.cli import main
+from bnkit.network import parse_bnet
 
 EXAMPLE = "targets, factors\na, !b\nb, !a\nc, !(a & !b) & !c\n"
 
@@ -142,6 +145,18 @@ def test_exit_code_parse_error(tmp_path):
     assert "model error" in err
     code, _, _ = run("fixpoints", str(tmp_path / "missing.bnet"))
     assert code == 2
+
+
+def test_exit_code_normalization_error(tmp_path, monkeypatch):
+    # the clause cap is lowered so that a small product of sums overflows it
+    monkeypatch.setattr(
+        bnkit.cli, "parse_bnet", functools.partial(parse_bnet, clause_cap=4)
+    )
+    path = tmp_path / "wide.bnet"
+    path.write_text("a, (a | b) & (c | d) & (e | f)\nb, b\nc, c\nd, d\ne, e\nf, f\n")
+    code, _, err = run("fixpoints", str(path))
+    assert code == 2
+    assert "model error" in err
 
 
 def test_bad_within(model):

@@ -69,6 +69,15 @@ def test_parse_errors():
     assert exc.value.line == 2
 
 
+def test_constant_and_reserved_names_rejected():
+    # a component named 0 or 1 could never be referenced: both parse as constants
+    for name in ("0", "1", "and", "True", "not"):
+        with pytest.raises(ParseError):
+            parse_bnet("%s, 1" % name)
+        with pytest.raises(NetworkError):
+            set_function(parse_bnet(EXAMPLE), name, "a")
+
+
 def test_xor_gets_bdd():
     net = parse_bnet("a, a\nb, b\nv, (a & !b) | (!a & b)")
     fn = net.functions[2]

@@ -12,11 +12,13 @@ from bnkit import (
     parse_bnet,
 )
 from bnkit.cubes import is_trap_space
+from bnkit.solver import _branch_order
 from nettools import (
     image_table,
     oracle_fixed_points,
     oracle_maximal_traps,
     oracle_minimal_traps,
+    oracle_suite,
     random_network,
 )
 
@@ -176,3 +178,16 @@ def test_determinism():
     assert first == second
     assert list(maximal_trap_spaces(net)) == list(maximal_trap_spaces(net))
     assert list(fixed_points(net)) == list(fixed_points(net))
+
+
+def test_fixed_points_lexicographic_in_branch_order():
+    # Pins the output order of `bnkit fixpoints`: states sorted by their
+    # values read in branching order, 0 before 1 (reversed order likewise).
+    for _seed, net in oracle_suite():
+        expected = oracle_fixed_points(net)
+        for reverse in (False, True):
+            order = _branch_order(net, reverse)
+            found = list(fixed_points(net, reverse_order=reverse))
+            keys = [tuple(state[i] for i in order) for state in found]
+            assert keys == sorted(set(keys))
+            assert set(found) == expected
