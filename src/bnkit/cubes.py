@@ -163,15 +163,19 @@ def eval_on_cube(fn, cube):
     return frozenset(v for v in (0, 1) if mask & (1 << v))
 
 
-def closure(net, cube):
+def closure(net, cube, pinned=()):
     """Smallest trap space containing the cube (percolation fixpoint).
 
     Repeatedly adds any achievable function value to its component; each
     addition wakes only the functions whose support contains the component.
+    Components in ``pinned`` are never woken and keep their value in the cube.
     """
     masks = [_VALUE_TO_MASK[v] for v in cube.values]
     values = list(cube.values)
-    pending = deque(range(net.n))
+    if pinned:
+        pending = deque(i for i in range(net.n) if i not in pinned)
+    else:
+        pending = deque(range(net.n))
     queued = [True] * net.n
     functions = net.functions
     dependents = net.dependents

@@ -4,6 +4,13 @@ Boolean update modes work on binary states; the most-permissive mode works
 on extended states over {0, 1, INC, DEC}, where INC/DEC mark components in
 transit upward/downward.  Extended values are rendered '+' (INC) and '-'
 (DEC) in labels.
+
+Most-permissive reachability is decided exactly, in at most n closure
+computations and with no size limit, without exploring extended states.
+A component in transit reads as free and may stay in transit, and a larger
+cube only adds function values, so every mp path can be reordered into
+freeing components one by one, turning around those that must end where
+they started, and settling the rest.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ _EXT_SYMBOLS = "01+-"
 BOOLEAN_MODES = ("synchronous", "asynchronous", "general")
 DEFAULT_STG_CAP = 20
 DEFAULT_MP_STG_CAP = 12
-DEFAULT_MP_REACH_CAP = 24
 
 
 class DynamicsError(ValueError):
@@ -169,11 +175,10 @@ def mp_projected_stg(net, restrict=None, cap=10):
     if restrict is None:
         restrict = Cube.full(net.n)
     nodes = list(vertices(restrict, cap=net.n))
-    node_set = set(nodes)
     edges = []
     for state in nodes:
-        for target in _mp_reachable_states(net, state):
-            if target != state and target in node_set:
+        for target in nodes:
+            if target != state and _mp_reachable(net, state, target):
                 edges.append((state_to_str(state), state_to_str(target)))
     stg = Stg("mp-projected")
     stg.nodes = sorted(state_to_str(s) for s in nodes)
@@ -181,24 +186,30 @@ def mp_projected_stg(net, restrict=None, cap=10):
     return stg
 
 
-def _mp_reachable_states(net, start):
-    """All binary states mp-reachable from a binary state (explicit search)."""
-    start = tuple(start)
-    seen = {start}
-    found = {start}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        for nxt in mp_successors(net, state):
-            if nxt not in seen:
-                seen.add(nxt)
-                if all(v < INC for v in nxt):
-                    found.add(nxt)
-                queue.append(nxt)
-    return found
+def _mp_reachable(net, x, y):
+    """True iff binary state y is mp-reachable from binary state x.
+
+    A component that must end at its value in x but cannot turn back on the
+    closure of x cannot on any smaller cube either, so it is held at that
+    value and the closure is taken again; each round holds at least one more.
+    """
+    start = Cube.from_state(x)
+    pinned = set()
+    while True:
+        hull = closure(net, start, pinned).values
+        stuck = set()
+        for i, v in enumerate(hull):
+            if v != FREE:
+                if v != y[i]:
+                    return False
+            elif y[i] == x[i] and not eval_mask(net.functions[i], hull) >> x[i] & 1:
+                stuck.add(i)
+        if not stuck:
+            return True
+        pinned |= stuck
 
 
-def reachability(net, x, y, mode="mp", cap=None):
+def reachability(net, x, y, mode="mp"):
     """True iff y is reachable from x under the update mode."""
     x, y = tuple(x), tuple(y)
     if len(x) != net.n or len(y) != net.n:
@@ -206,22 +217,11 @@ def reachability(net, x, y, mode="mp", cap=None):
     if x == y:
         return True
     if mode == "mp":
-        limit = DEFAULT_MP_REACH_CAP if cap is None else cap
-        if net.n > limit:
-            raise DynamicsError(
-                "network too large for explicit mp search (n=%d, cap=%d)"
-                % (net.n, limit)
-            )
-        # cheap exact filter: mp trajectories stay inside the closure of x
-        if not closure(net, Cube.from_state(x)).contains(y):
-            return False
-        step = lambda s: mp_successors(net, s)
-    else:
-        step = lambda s: successors(net, s, mode)
+        return _mp_reachable(net, x, y)
     seen = {x}
     queue = deque([x])
     while queue:
-        for nxt in step(queue.popleft()):
+        for nxt in successors(net, queue.popleft(), mode):
             if nxt == y:
                 return True
             if nxt not in seen:

@@ -169,22 +169,3 @@ def variables(expr):
             stack.extend(node.args)
     return out
 
-
-def render(expr):
-    """Render an AST back to expression text with minimal parentheses."""
-
-    def rec(node, level):
-        # level: 0 = or-context, 1 = and-context, 2 = unary-context
-        if isinstance(node, Var):
-            return node.name
-        if isinstance(node, Const):
-            return "1" if node.value else "0"
-        if isinstance(node, Not):
-            return "!" + rec(node.arg, 2)
-        if isinstance(node, And):
-            text = " & ".join(rec(a, 1) for a in node.args)
-            return "(" + text + ")" if level > 1 else text
-        text = " | ".join(rec(a, 0) for a in node.args)
-        return "(" + text + ")" if level > 0 else text
-
-    return rec(expr, 0)

@@ -149,14 +149,6 @@ class Bdd:
         self.nodes = nodes
         self.root = root
 
-    def evaluate(self, state):
-        u = self.root
-        nodes = self.nodes
-        while u > 1:
-            comp, lo, hi = nodes[u]
-            u = hi if state[comp] else lo
-        return u
-
     def false_reachable(self, values):
         """True iff a root-to-false path is compatible with the cube.
 
@@ -314,6 +306,9 @@ class BooleanNetwork:
         return "BooleanNetwork(%d components)" % self.n
 
 
+# The expression parser and the DNF builder recurse once per nesting level.
+_TOO_DEEP = "expression nested too deeply"
+
 # Words the expression grammar reads as operators or constants.
 _RESERVED_NAMES = RESERVED | {"0", "1"}
 
@@ -368,12 +363,14 @@ def parse_bnet(text, clause_cap=DEFAULT_CLAUSE_CAP):
     for name, expr_text, lineno in entries:
         try:
             expr = parse_expression(expr_text)
+            undeclared = _first_undeclared(expr, index)
+            if undeclared is not None:
+                raise ParseError("undeclared component %r referenced" % undeclared, lineno)
+            components.append((name, normalize(expr, index, clause_cap)))
         except ExprSyntaxError as exc:
             raise ParseError(str(exc), lineno) from exc
-        undeclared = _first_undeclared(expr, index)
-        if undeclared is not None:
-            raise ParseError("undeclared component %r referenced" % undeclared, lineno)
-        components.append((name, normalize(expr, index, clause_cap)))
+        except RecursionError:
+            raise ParseError(_TOO_DEEP, lineno) from None
     return BooleanNetwork(components)
 
 
@@ -386,11 +383,14 @@ def set_function(net, name, expr_text, clause_cap=DEFAULT_CLAUSE_CAP):
             raise NetworkError(problem)
         names.append(name)
     index = {n: i for i, n in enumerate(names)}
-    expr = parse_expression(expr_text)
-    undeclared = _first_undeclared(expr, index)
-    if undeclared is not None:
-        raise NetworkError("undeclared component %r referenced" % undeclared)
-    fn = normalize(expr, index, clause_cap)
+    try:
+        expr = parse_expression(expr_text)
+        undeclared = _first_undeclared(expr, index)
+        if undeclared is not None:
+            raise NetworkError("undeclared component %r referenced" % undeclared)
+        fn = normalize(expr, index, clause_cap)
+    except RecursionError:
+        raise NetworkError(_TOO_DEEP) from None
     components = []
     for existing in net.names:
         if existing == name:

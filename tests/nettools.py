@@ -6,9 +6,12 @@ synchronous image stays inside the cube.
 """
 
 import random
+from collections import deque
 from itertools import product
 
-from bnkit import Cube, parse_bnet, vertices
+from bnkit import Cube, mp_successors, parse_bnet, vertices
+from bnkit.dynamics import INC
+from bnkit.expressions import And, Const, Not, Var
 from bnkit.network import evaluate
 
 
@@ -104,3 +107,49 @@ def eval_oracle(fn, cube):
     if not support:
         seen.add(evaluate(fn, state))
     return frozenset(seen)
+
+
+def bdd_evaluate(bdd, state):
+    """Value of a BDD at a binary state, following one root-to-leaf path."""
+    u = bdd.root
+    while u > 1:
+        comp, lo, hi = bdd.nodes[u]
+        u = hi if state[comp] else lo
+    return u
+
+
+def render(expr):
+    """Render an AST back to expression text with minimal parentheses."""
+
+    def rec(node, level):
+        # level: 0 = or-context, 1 = and-context, 2 = unary-context
+        if isinstance(node, Var):
+            return node.name
+        if isinstance(node, Const):
+            return "1" if node.value else "0"
+        if isinstance(node, Not):
+            return "!" + rec(node.arg, 2)
+        if isinstance(node, And):
+            text = " & ".join(rec(a, 1) for a in node.args)
+            return "(" + text + ")" if level > 1 else text
+        text = " | ".join(rec(a, 0) for a in node.args)
+        return "(" + text + ")" if level > 0 else text
+
+    return rec(expr, 0)
+
+
+def _mp_reachable_states(net, start):
+    """All binary states mp-reachable from a binary state (explicit search)."""
+    start = tuple(start)
+    seen = {start}
+    found = {start}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        for nxt in mp_successors(net, state):
+            if nxt not in seen:
+                seen.add(nxt)
+                if all(v < INC for v in nxt):
+                    found.add(nxt)
+                queue.append(nxt)
+    return found

@@ -24,10 +24,11 @@ from bnkit import (
 )
 from bnkit import bench
 from bnkit.cli import main as cli_main
-from bnkit.dynamics import _mp_reachable_states, attractors
+from bnkit.dynamics import attractors
 from bnkit.expressions import parse_expression
 from bnkit.network import Bdd, export_bnet, normalize
 from nettools import (
+    _mp_reachable_states,
     eval_oracle,
     image_table,
     oracle_fixed_points,
@@ -96,6 +97,8 @@ def test_criterion_3_mp_consistency():
         mins = set(minimal_trap_spaces(net))
         for state in product((0, 1), repeat=net.n):
             reach = _mp_reachable_states(net, state)
+            for target in product((0, 1), repeat=net.n):
+                assert reachability(net, state, target, "mp") == (target in reach)
             for nxt in successors(net, state, "asynchronous"):
                 assert nxt in reach
             hull = closure(net, Cube.from_state(state))

@@ -16,6 +16,13 @@ def test_run_suite_statuses(tmp_path):
     assert all(r.seconds >= 0 for r in records)
 
 
+def test_deeply_nested_model_is_an_error_row(tmp_path):
+    (tmp_path / "deep.bnet").write_text("x, %sx\n" % ("!" * 3000))
+    (tmp_path / "ok.bnet").write_text("x, x\n")
+    records = bench.run_suite(tmp_path, "fix", timeout=30.0)
+    assert [r.status for r in records] == ["error", "ok"]
+
+
 def test_all_problems(tmp_path):
     (tmp_path / "m.bnet").write_text("x, !y\ny, x\n")
     for problem in bench.PROBLEMS:

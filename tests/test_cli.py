@@ -1,6 +1,7 @@
 import functools
 import io
 import json
+import random
 
 import pytest
 
@@ -70,6 +71,18 @@ def test_reach(model):
     assert (code, out) == (0, "false\n")
     code, out, _ = run("reach", model, "010", "100", "--mode", "asynchronous")
     assert (code, out) == (0, "false\n")
+
+
+def test_reach_mp_large_model(tmp_path):
+    rng = random.Random(3)
+    for family in ("inhibitor-dominant", "nested-canalizing-unate"):
+        path = tmp_path / ("%s.bnet" % family)
+        code, _, _ = run("generate", "--nodes", "300", "--seed", "1",
+                         "--family", family, "--out", str(path))
+        assert code == 0
+        x, y = ("".join(rng.choice("01") for _ in range(300)) for _ in range(2))
+        code, out, _ = run("reach", str(path), x, y, "--mode", "mp")
+        assert code == 0 and out in ("true\n", "false\n")
 
 
 def test_attractors(model):
@@ -145,6 +158,10 @@ def test_exit_code_parse_error(tmp_path):
     assert "model error" in err
     code, _, _ = run("fixpoints", str(tmp_path / "missing.bnet"))
     assert code == 2
+    path.write_text("a, %sa\n" % ("!" * 3000))
+    code, _, err = run("fixpoints", str(path))
+    assert code == 2
+    assert "nested too deeply" in err
 
 
 def test_exit_code_normalization_error(tmp_path, monkeypatch):

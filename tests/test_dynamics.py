@@ -14,17 +14,17 @@ from bnkit import (
     reachability,
     successors,
 )
+from bnkit.cubes import state_to_str
 from bnkit.dynamics import (
     DEC,
     INC,
     DynamicsError,
-    _mp_reachable_states,
     ext_state_to_str,
     mp_projected_stg,
     stg_to_dot,
     stg_to_json_obj,
 )
-from nettools import random_network
+from nettools import _mp_reachable_states, random_network
 
 EXAMPLE = "targets, factors\na, !b\nb, !a\nc, !(a & !b) & !c\n"
 
@@ -166,6 +166,16 @@ def test_mp_reachable_within_closure():
                 assert reachability(net, state, target, "mp") == (target in reach)
 
 
+def test_mp_reachability_pins_components_that_cannot_return():
+    # 01 lies in closure(00) = **, but waking b needs a freed, and f_a = 1
+    # never lets a return to 0
+    net = parse_bnet("a, 1\nb, a")
+    assert closure(net, Cube.from_state((0, 0))) == Cube.full(2)
+    assert not reachability(net, (0, 0), (0, 1), "mp")
+    assert reachability(net, (0, 0), (1, 0), "mp")
+    assert reachability(net, (0, 0), (1, 1), "mp")
+
+
 def test_attractors_equal_minimal_traps(example):
     assert set(attractors(example)) == set(minimal_trap_spaces(example))
     for seed in range(10):
@@ -199,6 +209,18 @@ def test_mp_projected_stg(example):
     assert ("000", "111") in stg.edges
     assert ("010", "100") not in stg.edges
     assert all(src != dst for src, dst in stg.edges)
+
+
+def test_mp_projected_stg_matches_oracle():
+    for seed in range(10):
+        net = random_network(seed, 2 + seed % 4)
+        expected = sorted(
+            (state_to_str(x), state_to_str(y))
+            for x in product((0, 1), repeat=net.n)
+            for y in _mp_reachable_states(net, x)
+            if y != x
+        )
+        assert mp_projected_stg(net).edges == expected
 
 
 def test_influence_graph(example):

@@ -8,9 +8,9 @@ from bnkit.expressions import (
     Or,
     Var,
     parse_expression,
-    render,
     variables,
 )
+from nettools import render
 
 
 def test_paper_edition_snippet():

@@ -12,7 +12,7 @@ from bnkit.network import (
     evaluate,
     normalize,
 )
-from nettools import random_expression
+from nettools import bdd_evaluate, random_expression
 
 EXAMPLE = "targets, factors\na, !b\nb, !a\nc, !(a & !b) & !c\n"
 
@@ -78,13 +78,23 @@ def test_constant_and_reserved_names_rejected():
             set_function(parse_bnet(EXAMPLE), name, "a")
 
 
+def test_deep_nesting_is_a_model_error():
+    for expr in ("(" * 3000 + "a" + ")" * 3000, "!" * 3000 + "a"):
+        with pytest.raises(ParseError) as exc:
+            parse_bnet("a, a\nb, %s\n" % expr)
+        assert exc.value.line == 2
+        assert "nested too deeply" in str(exc.value)
+        with pytest.raises(NetworkError, match="nested too deeply"):
+            set_function(parse_bnet(EXAMPLE), "a", expr)
+
+
 def test_xor_gets_bdd():
     net = parse_bnet("a, a\nb, b\nv, (a & !b) | (!a & b)")
     fn = net.functions[2]
     assert not fn.unate
     assert fn.bdd is not None
     for state in product((0, 1), repeat=3):
-        assert fn.bdd.evaluate(state) == evaluate(fn, state)
+        assert bdd_evaluate(fn.bdd, state) == evaluate(fn, state)
 
 
 def test_subsumption_removed():
@@ -137,7 +147,7 @@ def test_dnf_matches_source_truth_table():
             env = dict(zip(names, state))
             assert evaluate(fn, state) == _eval_ast(expr, env)
             if fn.bdd is not None:
-                assert fn.bdd.evaluate(state) == evaluate(fn, state)
+                assert bdd_evaluate(fn.bdd, state) == evaluate(fn, state)
 
 
 def _eval_ast(expr, env):
