@@ -80,11 +80,6 @@ def successors(net, state, mode):
     raise DynamicsError("unknown update mode %r" % (mode,))
 
 
-def gamma(ext_state):
-    """Cube projection of an extended state: transit components become free."""
-    return Cube(tuple(v if v < INC else FREE for v in ext_state))
-
-
 def mp_successors(net, ext_state):
     """Most-permissive single-component rewrites of an extended state."""
     values = tuple(v if v < INC else FREE for v in ext_state)
@@ -121,7 +116,8 @@ def ext_state_to_str(ext_state):
 
 
 def _mp_nodes(restrict):
-    # keep extended states whose gamma-cube meets the restriction
+    # keep extended states whose cube projection (components in transit
+    # read as free) meets the restriction
     domains = [
         (0, 1, INC, DEC) if v == FREE else (v, INC, DEC) for v in restrict.values
     ]

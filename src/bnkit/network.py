@@ -251,11 +251,12 @@ def normalize(expr, index, clause_cap=DEFAULT_CLAUSE_CAP):
 
 def evaluate(fn, state):
     """DNF evaluation of the function at a binary state."""
-    if fn.dnf.is_true:
-        return 1
     for clause in fn.dnf.clauses:
-        if all(state[comp] == val for comp, val in clause):
-            return 1
+        for comp, val in clause:
+            if state[comp] != val:
+                break
+        else:
+            return 1  # every literal holds; the empty clause of constant true too
     return 0
 
 

@@ -473,12 +473,17 @@ def _async_walk(net, trap, rng, steps):
         i for i in range(net.n) if evaluate(functions[i], values) != values[i]
     ]
     pos = {i: k for k, i in enumerate(unstable)}
+    # A flip of i can change the stability of i and its dependents only.
+    # The order of `unstable`, and with it the walk, follows the iteration
+    # order of these sets.
+    touched = [tuple({i, *deps}) for i, deps in enumerate(net.dependents)]
+    randrange = rng.randrange
     for _ in range(steps):
         if not unstable:
             break
-        i = unstable[rng.randrange(len(unstable))]
+        i = unstable[randrange(len(unstable))]
         values[i] = 1 - values[i]
-        for t in {i, *net.dependents[i]}:
+        for t in touched[i]:
             if evaluate(functions[t], values) != values[t]:
                 if t not in pos:
                     pos[t] = len(unstable)
@@ -492,20 +497,36 @@ def _async_walk(net, trap, rng, steps):
     return tuple(values)
 
 
+def _simulate(net, state, steps):
+    """The state after `steps` synchronous updates of `state` (steps >= 1).
+
+    After one full image, each step re-evaluates only the dependents of
+    the components the previous step changed: x_{k+1}[t] can differ from
+    x_k[t] only if some regulator of t changed at step k.  A step that
+    changes nothing has reached a fixed point, which ends the simulation.
+    """
+    values = list(net.image(state))
+    changed = [i for i, (new, old) in enumerate(zip(values, state)) if new != old]
+    functions = net.functions
+    dependents = net.dependents
+    for _ in range(steps - 1):
+        if not changed:
+            break
+        woken = {t for i in changed for t in dependents[i]}
+        changed = [t for t in woken if evaluate(functions[t], values) != values[t]]
+        for t in changed:
+            values[t] = 1 - values[t]
+    return tuple(values)
+
+
 def _descent_candidates(net, trap, rng, sim_steps=60):
     """Heuristic states inside the trap whose closure may be smaller."""
-    state = tuple(v if v != FREE else 0 for v in trap.values)
-    for _ in range(sim_steps):
-        state = net.image(state)
-    yield state
+    yield _simulate(net, tuple(v if v != FREE else 0 for v in trap.values), sim_steps)
     walk_steps = min(20000, 25 * net.n)
     for _ in range(2):
         yield _async_walk(net, trap, rng, walk_steps)
     for _ in range(3):
-        state = _sample_vertex(trap, rng)
-        for _ in range(8):
-            state = net.image(state)
-        yield state
+        yield _simulate(net, _sample_vertex(trap, rng), 8)
 
 
 def _free_sccs(net, free_set):
@@ -597,57 +618,66 @@ def _scc_value_domains(net, trap, scc_set, clock):
     then probed with its opposite removed, which enforces consistency of
     the component itself; a value that cannot support itself this way is
     discarded.  Sound for non-unate functions, which stay unconstrained.
+
+    The fixpoint is computed by worklist propagation (AC-3): a component
+    is re-checked only when a regulator inside the SCC lost a value.  The
+    greatest fixpoint is unique, so the order of the checks does not
+    matter.  A probe records its removals and undoes them afterwards.
     """
+    functions = net.functions
+    outside = trap.values
+    readers = {
+        c: [j for j in net.dependents[c] if j in scc_set and functions[j].unate]
+        for c in scc_set
+    }
 
-    def refine(domains):
-        changed = True
-        while changed:
-            changed = False
+    def supported(j, v, domains):
+        if v == 1:
+            for clause in functions[j].dnf.clauses:
+                for c, val in clause:
+                    if c in scc_set:
+                        if val not in domains[c]:
+                            break
+                    elif outside[c] != val:
+                        break
+                else:
+                    return True
+            return False
+        for clause in functions[j].dnf.clauses:
+            for c, val in clause:
+                if c in scc_set:
+                    if 1 - val in domains[c]:
+                        break
+                elif outside[c] == 1 - val:
+                    break
+            else:
+                return False
+        return True
+
+    def refine(domains, queue, removed):
+        """Drop unsupported values, re-checking the readers of every
+        component that loses one; each drop is appended to `removed`."""
+        queue = list(queue)
+        queued = set(queue)
+        while queue:
             clock.poll()
-            for j in scc_set:
-                fn = net.functions[j]
-                if not fn.unate:
-                    continue
-                dom = domains[j]
-                if 1 in dom:
-                    ok = False
-                    for clause in fn.dnf.clauses:
-                        good = True
-                        for c, val in clause:
-                            if c in scc_set:
-                                if val not in domains[c]:
-                                    good = False
-                                    break
-                            elif trap.values[c] != val:
-                                good = False
-                                break
-                        if good:
-                            ok = True
-                            break
-                    if not ok:
-                        dom.discard(1)
-                        changed = True
-                if 0 in dom:
-                    ok = True
-                    for clause in fn.dnf.clauses:
-                        blocked = False
-                        for c, val in clause:
-                            if c in scc_set:
-                                if 1 - val in domains[c]:
-                                    blocked = True
-                                    break
-                            elif trap.values[c] == 1 - val:
-                                blocked = True
-                                break
-                        if not blocked:
-                            ok = False
-                            break
-                    if not ok:
-                        dom.discard(0)
-                        changed = True
-        return domains
+            j = queue.pop()
+            queued.discard(j)
+            dom = domains[j]
+            lost = False
+            for v in (1, 0):
+                if v in dom and not supported(j, v, domains):
+                    dom.discard(v)
+                    removed.append((j, v))
+                    lost = True
+            if lost:
+                for t in readers[j]:
+                    if t not in queued:
+                        queued.add(t)
+                        queue.append(t)
 
-    master = refine({j: {0, 1} for j in scc_set})
+    master = {j: {0, 1} for j in scc_set}
+    refine(master, [j for j in scc_set if functions[j].unate], [])
     changed = True
     while changed:
         changed = False
@@ -656,12 +686,18 @@ def _scc_value_domains(net, trap, scc_set, clock):
                 if v not in master[j]:
                     continue
                 clock.poll()
-                probe = {c: set(master[c]) for c in scc_set}
-                probe[j] = {v}
-                refine(probe)
-                if v not in probe[j]:
-                    master[j].discard(v)
-                    refine(master)
+                dom = master[j]
+                if 1 - v not in dom:
+                    continue  # the probe would change nothing
+                dom.discard(1 - v)
+                removed = [(j, 1 - v)]
+                refine(master, readers[j], removed)
+                kept = v in dom
+                for c, u in removed:
+                    master[c].add(u)
+                if not kept:
+                    dom.discard(v)
+                    refine(master, readers[j], [])
                     changed = True
     return master
 

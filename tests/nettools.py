@@ -153,3 +153,85 @@ def _mp_reachable_states(net, start):
                     found.add(nxt)
                 queue.append(nxt)
     return found
+
+
+# Full-sweep reference for the worklist `solver._scc_value_domains`: every
+# refinement sweeps the whole SCC and every probe copies the domains.
+def _scc_value_domains(net, trap, scc_set, clock):
+    """Values each feedback component could take in a strict sub-trap.
+
+    Greatest fixpoint of the necessary conditions for unate functions:
+    fixing a component to 1 needs some clause whose literals can all
+    become fixed true, fixing to 0 needs every clause to be blockable by
+    a fixed-false literal; components outside the feedback set keep their
+    candidate-trap value (free ones stay free).  Each surviving value is
+    then probed with its opposite removed, which enforces consistency of
+    the component itself; a value that cannot support itself this way is
+    discarded.  Sound for non-unate functions, which stay unconstrained.
+    """
+
+    def refine(domains):
+        changed = True
+        while changed:
+            changed = False
+            clock.poll()
+            for j in scc_set:
+                fn = net.functions[j]
+                if not fn.unate:
+                    continue
+                dom = domains[j]
+                if 1 in dom:
+                    ok = False
+                    for clause in fn.dnf.clauses:
+                        good = True
+                        for c, val in clause:
+                            if c in scc_set:
+                                if val not in domains[c]:
+                                    good = False
+                                    break
+                            elif trap.values[c] != val:
+                                good = False
+                                break
+                        if good:
+                            ok = True
+                            break
+                    if not ok:
+                        dom.discard(1)
+                        changed = True
+                if 0 in dom:
+                    ok = True
+                    for clause in fn.dnf.clauses:
+                        blocked = False
+                        for c, val in clause:
+                            if c in scc_set:
+                                if 1 - val in domains[c]:
+                                    blocked = True
+                                    break
+                            elif trap.values[c] == 1 - val:
+                                blocked = True
+                                break
+                        if not blocked:
+                            ok = False
+                            break
+                    if not ok:
+                        dom.discard(0)
+                        changed = True
+        return domains
+
+    master = refine({j: {0, 1} for j in scc_set})
+    changed = True
+    while changed:
+        changed = False
+        for j in sorted(scc_set):
+            for v in (0, 1):
+                if v not in master[j]:
+                    continue
+                clock.poll()
+                probe = {c: set(master[c]) for c in scc_set}
+                probe[j] = {v}
+                refine(probe)
+                if v not in probe[j]:
+                    master[j].discard(v)
+                    refine(master)
+                    changed = True
+    return master

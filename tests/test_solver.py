@@ -1,19 +1,25 @@
 import random
+import time
 
 import pytest
 
 from bnkit import (
     Cube,
+    GenSpec,
     Query,
     count_solutions,
     fixed_points,
+    generate_bnet,
     maximal_trap_spaces,
     minimal_trap_spaces,
     parse_bnet,
+    solver,
 )
 from bnkit.cubes import is_trap_space
+from bnkit.generator import FAMILIES
 from bnkit.solver import _branch_order
 from nettools import (
+    _scc_value_domains as sweep,
     image_table,
     oracle_fixed_points,
     oracle_maximal_traps,
@@ -191,3 +197,68 @@ def test_fixed_points_lexicographic_in_branch_order():
             keys = [tuple(state[i] for i in order) for state in found]
             assert keys == sorted(set(keys))
             assert set(found) == expected
+
+
+def generated_nets(n, seeds):
+    for family in FAMILIES:
+        for seed in seeds:
+            yield parse_bnet(generate_bnet(GenSpec(n=n, family=family, seed=seed)))
+
+
+@pytest.fixture
+def domains_checked(monkeypatch):
+    """Check every call of the worklist domain filter against the full-sweep
+    reference; the list collects the SCCs checked."""
+    seen = []
+    worklist = solver._scc_value_domains
+
+    def checked(net, trap, scc_set, clock):
+        got = worklist(net, trap, scc_set, clock)
+        assert got == sweep(net, trap, scc_set, solver._Deadline(None))
+        seen.append(frozenset(scc_set))
+        return got
+
+    monkeypatch.setattr(solver, "_scc_value_domains", checked)
+    return seen
+
+
+def test_scc_domains_match_full_sweep_on_oracle_suite(domains_checked):
+    for _seed, net in oracle_suite():
+        list(minimal_trap_spaces(net))
+    assert len(domains_checked) > 100
+
+
+def test_scc_domains_match_full_sweep_on_generated_nets(domains_checked):
+    for net in generated_nets(200, range(10)):
+        next(minimal_trap_spaces(net), None)
+    assert len(domains_checked) > 20
+
+
+def test_simulate_equals_repeated_image():
+    nets = [random_network(seed, 3 + seed % 6) for seed in range(60)]
+    nets.extend(generated_nets(200, range(3)))
+    rng = random.Random(7)
+    settled = cycling = 0
+    for net in nets:
+        for _ in range(4):
+            x = tuple(rng.randint(0, 1) for _ in range(net.n))
+            images = [x]
+            for _ in range(60):
+                images.append(net.image(images[-1]))
+            for k in (1, 2, 8, 60):
+                assert solver._simulate(net, x, k) == images[k]
+            if net.image(images[60]) == images[60]:
+                settled += 1
+            else:
+                cycling += 1
+    assert settled > 20 and cycling > 20
+
+
+def test_first_min_at_10k_nested_canalizing():
+    # One feedback SCC holds most of the network here; re-sweeping all of it
+    # on every domain refinement takes over a minute.
+    net = parse_bnet(
+        generate_bnet(GenSpec(n=10000, family="nested-canalizing-unate", seed=1))
+    )
+    trap = next(minimal_trap_spaces(net, deadline=time.monotonic() + 20.0))
+    assert is_trap_space(net, trap)
