@@ -31,7 +31,6 @@ from .network import (
 from .solver import (
     Query,
     SolverTimeout,
-    count_solutions,
     fixed_points,
     maximal_trap_spaces,
     minimal_trap_spaces,
@@ -50,7 +49,6 @@ __all__ = [
     "attractors",
     "build_stg",
     "closure",
-    "count_solutions",
     "eval_on_cube",
     "evaluate",
     "export_bnet",

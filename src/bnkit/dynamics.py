@@ -28,8 +28,9 @@ DEC = 3
 _EXT_SYMBOLS = "01+-"
 
 BOOLEAN_MODES = ("synchronous", "asynchronous", "general")
-DEFAULT_STG_CAP = 20
-DEFAULT_MP_STG_CAP = 12
+STG_CAP = 20
+MP_STG_CAP = 12
+MP_PROJECTED_STG_CAP = 10
 
 
 class DynamicsError(ValueError):
@@ -124,26 +125,24 @@ def _mp_nodes(restrict):
     return product(*domains)
 
 
-def build_stg(net, mode, restrict=None, cap=None):
+def build_stg(net, mode, restrict=None):
     """Full state transition graph, nodes sorted lexicographically."""
     if restrict is None:
         restrict = Cube.full(net.n)
     if mode == "mp":
-        limit = DEFAULT_MP_STG_CAP if cap is None else cap
-        if net.n > limit:
+        if net.n > MP_STG_CAP:
             raise DynamicsError(
                 "network too large for an explicit mp STG (n=%d, cap=%d)"
-                % (net.n, limit)
+                % (net.n, MP_STG_CAP)
             )
         nodes = set(_mp_nodes(restrict))
         succ = lambda s: mp_successors(net, s)
         label = ext_state_to_str
     else:
-        limit = DEFAULT_STG_CAP if cap is None else cap
-        if net.n > limit:
+        if net.n > STG_CAP:
             raise DynamicsError(
                 "network too large for an explicit STG (n=%d, cap=%d)"
-                % (net.n, limit)
+                % (net.n, STG_CAP)
             )
         nodes = set(vertices(restrict, cap=net.n))
         succ = lambda s: successors(net, s, mode)
@@ -159,14 +158,15 @@ def build_stg(net, mode, restrict=None, cap=None):
     return stg
 
 
-def mp_projected_stg(net, restrict=None, cap=10):
+def mp_projected_stg(net, restrict=None):
     """Binary-state projection of the mp dynamics.
 
     Edge x -> y iff y differs from x and y is mp-reachable from x.
     """
-    if net.n > cap:
+    if net.n > MP_PROJECTED_STG_CAP:
         raise DynamicsError(
-            "network too large for the projected mp STG (n=%d, cap=%d)" % (net.n, cap)
+            "network too large for the projected mp STG (n=%d, cap=%d)"
+            % (net.n, MP_PROJECTED_STG_CAP)
         )
     if restrict is None:
         restrict = Cube.full(net.n)

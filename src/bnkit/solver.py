@@ -10,10 +10,13 @@ engine reduces to unit propagation inside the DNF clauses of
 ``x_i = f_i(x)``.
 
 Minimal trap spaces are found by descending through closures of states
-and certified by searching for a strictly smaller trap space; maximal
-ones by the dual ascent.  Emitted minimal trap spaces are blocked by
-disjointness constraints (minimal trap spaces are pairwise disjoint),
-emitted maximal ones by excluding their subcubes.
+(a synchronous simulation from the candidate's all-0 vertex, then, only
+if that does not shrink the candidate, one random asynchronous walk) and
+certified per feedback SCC by searching for a strictly smaller trap
+space.  Maximal ones grow by repeated search for a strictly larger trap
+space.  Emitted minimal trap spaces are blocked by disjointness
+constraints (minimal trap spaces are pairwise disjoint), emitted maximal
+ones by excluding their subcubes.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .cubes import FREE, Cube, closure, eval_mask, is_trap_space
 from .network import evaluate
 
 _DEADLINE_STRIDE = 512
+_SIM_STEPS = 60  # synchronous steps of the first descent candidate
 
 
 class SolverTimeout(Exception):
@@ -74,11 +78,8 @@ def _start(net, within, limit, deadline):
     return within, clock
 
 
-def _branch_order(net, reverse=False):
-    order = sorted(range(net.n), key=lambda i: (-net.occ_count[i], i))
-    if reverse:
-        order.reverse()
-    return order
+def _branch_order(net):
+    return sorted(range(net.n), key=lambda i: (-net.occ_count[i], i))
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +88,7 @@ def _branch_order(net, reverse=False):
 _UNASSIGNED = -1
 
 
-def _trap_search(
-    net,
-    allowed,
-    or_clauses,
-    prefer_free,
-    clock,
-    reverse_order=False,
-    scope=None,
-):
+def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None):
     """Stream full symbol assignments (cubes) that are trap spaces.
 
     ``allowed[i]`` is the set of admissible symbols (0, 1, FREE) for
@@ -133,14 +126,14 @@ def _trap_search(
     if scope is None:
         scope = range(n)
         dependents = net.dependents
-        order = _branch_order(net, reverse_order)
+        order = _branch_order(net)
     else:
         scope = sorted(scope)
         scope_set = set(scope)
         dependents = [
             [t for t in net.dependents[i] if t in scope_set] for i in range(n)
         ]
-        order = [i for i in _branch_order(net, reverse_order) if i in scope_set]
+        order = [i for i in _branch_order(net) if i in scope_set]
         for i in range(n):
             if i not in scope_set:
                 sym = next(iter(allowed[i]))
@@ -421,7 +414,7 @@ def _trap_search(
 # Fixed points
 
 
-def fixed_points(net, within=None, limit=None, deadline=None, reverse_order=False):
+def fixed_points(net, within=None, limit=None, deadline=None):
     """Stream the states x in `within` with f(x) = x.
 
     A fixed point is a trap space without free components, so this is the
@@ -430,7 +423,7 @@ def fixed_points(net, within=None, limit=None, deadline=None, reverse_order=Fals
     """
     within, clock = _start(net, within, limit, deadline)
     allowed = [{0, 1} if v == FREE else {v} for v in within.values]
-    found = _trap_search(net, allowed, [], False, clock, reverse_order)
+    found = _trap_search(net, allowed, [], False, clock)
     for count, cube in enumerate(found, 1):
         yield cube.values
         if count == limit:
@@ -459,10 +452,6 @@ def _not_subset_clause(cube):
 
 # ---------------------------------------------------------------------------
 # Minimal trap spaces
-
-
-def _sample_vertex(cube, rng):
-    return tuple(v if v != FREE else rng.randint(0, 1) for v in cube.values)
 
 
 def _async_walk(net, trap, rng, steps):
@@ -519,14 +508,14 @@ def _simulate(net, state, steps):
     return tuple(values)
 
 
-def _descent_candidates(net, trap, rng, sim_steps=60):
-    """Heuristic states inside the trap whose closure may be smaller."""
-    yield _simulate(net, tuple(v if v != FREE else 0 for v in trap.values), sim_steps)
-    walk_steps = min(20000, 25 * net.n)
-    for _ in range(2):
-        yield _async_walk(net, trap, rng, walk_steps)
-    for _ in range(3):
-        yield _simulate(net, _sample_vertex(trap, rng), 8)
+def _descent_candidates(net, trap, rng):
+    """Heuristic states inside the trap whose closure may be smaller.
+
+    The caller stops at the first candidate that shrinks the trap, so the
+    walk and its random numbers are drawn only when the simulation did not.
+    """
+    yield _simulate(net, tuple(v if v != FREE else 0 for v in trap.values), _SIM_STEPS)
+    yield _async_walk(net, trap, rng, min(20000, 25 * net.n))
 
 
 def _free_sccs(net, free_set):
@@ -702,7 +691,7 @@ def _scc_value_domains(net, trap, scc_set, clock):
     return master
 
 
-def _certify_smaller(net, trap, clock, reverse_order):
+def _certify_smaller(net, trap, clock):
     """A trap space strictly inside `trap`, or None if `trap` is minimal.
 
     A strict sub-trap must fix some component; taking one in a
@@ -727,17 +716,14 @@ def _certify_smaller(net, trap, clock, reverse_order):
                 allowed.append({FREE})
         strict = [[(i, vals) for i, vals in fixable.items() if vals]]
         found = next(
-            _trap_search(
-                net, allowed, strict, False, clock, reverse_order, scope=scc_set
-            ),
-            None,
+            _trap_search(net, allowed, strict, False, clock, scope=scc_set), None
         )
         if found is not None:
             return found
     return None
 
 
-def _minimize_trap(net, trap, clock, rng, reverse_order=False):
+def _minimize_trap(net, trap, clock, rng):
     """Descend to a subset-minimal trap space inside the given one."""
     # Heuristic phase: closures of simulated states inside the candidate.
     while not trap.is_state:
@@ -751,32 +737,22 @@ def _minimize_trap(net, trap, clock, rng, reverse_order=False):
                 break
         if not improved:
             break
-    # A fixed point inside the candidate is itself a subset-minimal trap
-    # space, and the fixed-point engine propagates much harder.
-    if not trap.is_state:
-        state = next(
-            fixed_points(net, within=trap, limit=1, deadline=clock.at), None
-        )
-        if state is not None:
-            return Cube.from_state(state)
     # Exact phase: percolate determined components down, then look for a
     # fixable feedback component; repeat until certified minimal.
     while not trap.is_state:
         clock.check_now()
         trap = _percolate_down(net, trap, clock)
-        found = _certify_smaller(net, trap, clock, reverse_order)
+        found = _certify_smaller(net, trap, clock)
         if found is None:
             return trap
         trap = found
     return trap
 
 
-def minimal_trap_spaces(
-    net, within=None, limit=None, deadline=None, seed=0, reverse_order=False
-):
+def minimal_trap_spaces(net, within=None, limit=None, deadline=None):
     """Stream the subset-minimal trap spaces contained in `within`."""
     within, clock = _start(net, within, limit, deadline)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     emitted = []
     while limit is None or len(emitted) < limit:
         if not emitted and is_trap_space(net, within):
@@ -784,13 +760,10 @@ def minimal_trap_spaces(
         else:
             allowed = _allowed_within(within)
             blocking = [_disjoint_clause(t) for t in emitted]
-            candidate = next(
-                _trap_search(net, allowed, blocking, False, clock, reverse_order),
-                None,
-            )
+            candidate = next(_trap_search(net, allowed, blocking, False, clock), None)
         if candidate is None:
             return
-        trap = _minimize_trap(net, candidate, clock, rng, reverse_order)
+        trap = _minimize_trap(net, candidate, clock, rng)
         yield trap
         emitted.append(trap)
 
@@ -799,49 +772,11 @@ def minimal_trap_spaces(
 # Maximal trap spaces
 
 
-def _greedy_grow(net, trap, within, clock):
-    """Free components one at a time while the cube stays a trap space.
-
-    Freeing a single component can only break closedness of its
-    dependents, so each attempt is a local recheck.  At least one
-    component is always left fixed (the full cube is not a trap space of
-    interest).
-    """
-    values = list(trap.values)
-    fixed = sum(1 for v in values if v != FREE)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(net.n):
-            if fixed <= 1:
-                break
-            if values[i] == FREE or within.values[i] != FREE:
-                continue
-            clock.poll()
-            old = values[i]
-            values[i] = FREE
-            ok = True
-            for j in net.dependents[i]:
-                vj = values[j]
-                if vj == FREE:
-                    continue
-                if eval_mask(net.functions[j], values) & (1 << (1 - vj)):
-                    ok = False
-                    break
-            if ok:
-                fixed -= 1
-                changed = True
-            else:
-                values[i] = old
-    return Cube(tuple(values))
-
-
-def _maximize_trap(net, trap, within, clock, reverse_order=False):
+def _maximize_trap(net, trap, within, clock):
     """Ascend to a subset-maximal trap space (full cube excluded)."""
     n = net.n
     while True:
         clock.check_now()
-        trap = _greedy_grow(net, trap, within, clock)
         allowed = []
         growable = []
         for i, (v, w) in enumerate(zip(trap.values, within.values)):
@@ -858,17 +793,13 @@ def _maximize_trap(net, trap, within, clock, reverse_order=False):
             [(i, {FREE}) for i in growable],  # strictly larger
             [(i, {0, 1}) for i in range(n)],  # still not the full cube
         ]
-        bigger = next(
-            _trap_search(net, allowed, clauses, True, clock, reverse_order), None
-        )
+        bigger = next(_trap_search(net, allowed, clauses, True, clock), None)
         if bigger is None:
             return trap
         trap = bigger
 
 
-def maximal_trap_spaces(
-    net, within=None, limit=None, deadline=None, reverse_order=False
-):
+def maximal_trap_spaces(net, within=None, limit=None, deadline=None):
     """Stream the subset-maximal trap spaces in `within`, full cube excluded."""
     within, clock = _start(net, within, limit, deadline)
     emitted = []
@@ -877,11 +808,11 @@ def maximal_trap_spaces(
         clauses = [[(i, {0, 1}) for i in range(net.n)]]
         clauses.extend(_not_subset_clause(t) for t in emitted)
         candidate = next(
-            _trap_search(net, allowed, clauses, True, clock, reverse_order), None
+            _trap_search(net, allowed, clauses, True, clock), None
         )
         if candidate is None:
             return
-        trap = _maximize_trap(net, candidate, within, clock, reverse_order)
+        trap = _maximize_trap(net, candidate, within, clock)
         yield trap
         emitted.append(trap)
 
@@ -900,8 +831,3 @@ def run_query(net, query, deadline=None):
     if query.kind == "maximal-trap-spaces":
         return maximal_trap_spaces(net, query.within, query.limit, deadline)
     raise ValueError("unknown query kind %r" % query.kind)
-
-
-def count_solutions(net, query):
-    """Drain the query's stream and return the number of solutions."""
-    return sum(1 for _ in run_query(net, query))

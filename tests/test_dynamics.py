@@ -119,9 +119,13 @@ def test_stg_mp_mode():
 
 
 def test_stg_cap():
-    net = random_network(0, 4)
+    # each cap is checked before any state is listed
     with pytest.raises(DynamicsError):
-        build_stg(net, "asynchronous", cap=3)
+        build_stg(random_network(0, 21), "asynchronous")
+    with pytest.raises(DynamicsError):
+        build_stg(random_network(0, 13), "mp")
+    with pytest.raises(DynamicsError):
+        mp_projected_stg(random_network(0, 11))
 
 
 def test_stg_export_stable(example):
