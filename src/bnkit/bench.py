@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +51,10 @@ def run_model(path, problem, timeout):
     except SolverTimeout:
         status = "timeout"
     except (ParseError, ValueError, OSError):
+        status = "error"
+    except Exception:
+        # a failure of one model must not end the suite: report it, go on
+        traceback.print_exc()
         status = "error"
     elapsed = time.monotonic() - start
     if status == "ok" and elapsed > timeout:

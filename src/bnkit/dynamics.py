@@ -206,10 +206,19 @@ def _mp_reachable(net, x, y):
 
 
 def reachability(net, x, y, mode="mp"):
-    """True iff y is reachable from x under the update mode."""
+    """True iff y is reachable from x under the update mode.
+
+    Boolean modes search the explicit state space, so like `build_stg`
+    they refuse networks with more than ``STG_CAP`` components.
+    """
     x, y = tuple(x), tuple(y)
     if len(x) != net.n or len(y) != net.n:
         raise DynamicsError("state length mismatch")
+    if mode != "mp" and net.n > STG_CAP:
+        raise DynamicsError(
+            "network too large for explicit-state reachability (n=%d, cap=%d)"
+            % (net.n, STG_CAP)
+        )
     if x == y:
         return True
     if mode == "mp":

@@ -7,22 +7,25 @@ exact cube evaluation of the cubes module.  Fixed points are the trap
 spaces with no free component, so they are this search over the domains
 {0, 1}; there every function is evaluated at a single point and the
 engine reduces to unit propagation inside the DNF clauses of
-``x_i = f_i(x)``.
+``x_i = f_i(x)``.  Every assignment records the decision levels it rests
+on, and a conflict jumps back to the highest of them (conflict-directed
+backjumping), skipping levels that cannot change its outcome; branching
+order is that of chronological search, so solutions come out in the
+same order.
 
-Minimal trap spaces are found by descending through closures of states
-(a synchronous simulation from the candidate's all-0 vertex, then, only
-if that does not shrink the candidate, one random asynchronous walk) and
-certified per feedback SCC by searching for a strictly smaller trap
-space.  Maximal ones grow by repeated search for a strictly larger trap
-space.  Emitted minimal trap spaces are blocked by disjointness
-constraints (minimal trap spaces are pairwise disjoint), emitted maximal
-ones by excluding their subcubes.
+Minimal trap spaces are found by descending through closures of states,
+each reached by synchronous simulation from the candidate's all-0
+vertex, and certified per feedback SCC by searching for a strictly
+smaller trap space.  Maximal ones grow by repeated search for a strictly
+larger trap space.  Emitted minimal trap spaces are blocked by
+disjointness constraints (minimal trap spaces are pairwise disjoint),
+emitted maximal ones by excluding their subcubes.  The solver is
+deterministic: it draws no random numbers.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 import time
 from dataclasses import dataclass
 
@@ -30,7 +33,7 @@ from .cubes import FREE, Cube, closure, eval_mask, is_trap_space
 from .network import evaluate
 
 _DEADLINE_STRIDE = 512
-_SIM_STEPS = 60  # synchronous steps of the first descent candidate
+_SIM_STEPS = 60  # synchronous steps of a descent round
 
 
 class SolverTimeout(Exception):
@@ -174,23 +177,40 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None):
     # (unassigned regulators, comp) for fixed, not-yet-exact comps that
     # are not two-valued
     heap = []
+    # reasons[c]: the decision levels (bit k for level k) that the current
+    # assignment of c rests on; level-0 assignments rest on none
+    reasons = [0] * n
+    no_implications = ((), 0)
+
+    def assigned_reason(comps):
+        why = 0
+        for comp in comps:
+            if values[comp] != _UNASSIGNED:
+                why |= reasons[comp]
+        return why
 
     def check_function(i):
-        """Closedness check for component i; None on conflict else implications."""
+        """Closedness check for component i.
+
+        Returns ``(implied, why)``: the forced ``(comp, symbol)`` pairs, or
+        None on a conflict, and the levels that the conclusion rests on.
+        """
         vi = values[i]
         if vi == FREE:
-            return ()
+            return no_implications
         fn = functions[i]
         if vi != _UNASSIGNED and (fn.unate or two_valued[i]):
             # For unate functions, and for any function of a two-valued
             # component, evaluation stays within {1} iff some clause is
             # fully fixed true, and within {0} iff every clause carries a
             # fixed-false literal; propagate the last open way of meeting
-            # the target.
+            # the target.  A conclusion rests on i and on one contradicting
+            # literal per dead clause (value 1), or on the literals of the
+            # clauses that forced it (value 0).
             if vi == 1:
                 candidates = []
+                killers = [i]
                 for clause in fn.dnf.clauses:
-                    dead = False
                     unassigned = []
                     for comp, val in clause:
                         v = values[comp]
@@ -199,77 +219,80 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None):
                         if v == _UNASSIGNED:
                             unassigned.append((comp, val))
                         else:
-                            dead = True
+                            killers.append(comp)
                             break
-                    if dead:
-                        continue
-                    if not unassigned:
-                        return ()
-                    candidates.append(unassigned)
+                    else:
+                        if not unassigned:
+                            return no_implications
+                        candidates.append(unassigned)
                 if not candidates:
-                    return None
+                    return None, assigned_reason(killers)
                 if len(candidates) == 1:
-                    return tuple(candidates[0])
-                return ()
+                    return candidates[0], assigned_reason(killers)
+                return no_implications
             implied = []
+            why = reasons[i]
             for clause in fn.dnf.clauses:
-                blocked = False
                 forcible = []
                 for comp, val in clause:
                     v = values[comp]
                     if v == 1 - val:
-                        blocked = True
                         break
                     if v == _UNASSIGNED:
                         forcible.append((comp, 1 - val))
-                if blocked:
-                    continue
-                if not forcible:
-                    return None
-                if len(forcible) == 1:
-                    implied.append(forcible[0])
-            return tuple(implied)
+                else:
+                    if len(forcible) < 2:
+                        clause_why = assigned_reason(comp for comp, _ in clause)
+                        if not forcible:
+                            return None, reasons[i] | clause_why
+                        why |= clause_why
+                        implied.append(forcible[0])
+            return implied, why
         exact = unassigned_support[i] == 0
         if vi == _UNASSIGNED and not exact and FREE in allowed[i]:
-            return ()
+            return no_implications
+        # Otherwise a conclusion rests on i and all its assigned regulators.
         mask = eval_mask(fn, uview)
         if vi != _UNASSIGNED:
             # masks only shrink as the cube narrows, so a value that is
             # unachievable now stays unachievable
-            if not mask & (1 << vi):
-                return None
-            if mask & (1 << (1 - vi)) and exact:
-                return None
-            return ()
+            if not mask & (1 << vi) or (mask & (1 << (1 - vi)) and exact):
+                return None, reasons[i] | assigned_reason(fn.support)
+            return no_implications
         if mask == 3:
             # a component that cannot be FREE waits for a determined value
-            return ((i, FREE),) if exact else ()
-        want = 0 if mask == 1 else 1
-        opts = allowed[i] & {want, FREE}
-        if not opts:
-            return None
-        if len(opts) == 1:
-            return ((i, next(iter(opts))),)
-        return ()
+            if not exact:
+                return no_implications
+            implied = ((i, FREE),)
+        else:
+            opts = allowed[i] & {0 if mask == 1 else 1, FREE}
+            if len(opts) > 1:
+                return no_implications
+            implied = ((i, next(iter(opts))),) if opts else None
+        return implied, assigned_reason(fn.support)
 
     def check_clause(ci):
         if sat_count[ci]:
-            return ()
+            return no_implications
         oc = open_count[ci]
+        if oc > 1:
+            return no_implications
+        clause = or_clauses[ci]
         if oc == 0:
-            return None
-        if oc == 1:
-            for comp, syms in or_clauses[ci]:
-                if values[comp] == _UNASSIGNED:
-                    opts = allowed[comp] & syms
-                    if opts:
-                        if len(opts) == 1:
-                            return ((comp, next(iter(opts))),)
-                        return ()
-        return ()
+            return None, assigned_reason(comp for comp, _ in clause)
+        for comp, syms in clause:
+            if values[comp] == _UNASSIGNED:
+                opts = allowed[comp] & syms
+                if opts:
+                    if len(opts) > 1:
+                        return no_implications
+                    why = assigned_reason(c for c, _ in clause)
+                    return ((comp, next(iter(opts))),), why
+        return no_implications
 
-    def assign(comp, sym, fun_queue, clause_queue):
+    def assign(comp, sym, why, fun_queue, clause_queue):
         values[comp] = sym
+        reasons[comp] = why
         if sym != FREE:
             uview[comp] = sym
             if unassigned_support[comp] and not two_valued[comp]:
@@ -284,28 +307,29 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None):
         clause_queue.extend(clauses_assign(comp, sym))
 
     def propagate(fun_queue, clause_queue):
+        """None at the fixpoint, else the levels the conflict rests on."""
         while fun_queue or clause_queue:
             clock.poll()
             if fun_queue:
-                implied = check_function(fun_queue.pop())
+                implied, why = check_function(fun_queue.pop())
             else:
-                implied = check_clause(clause_queue.pop())
+                implied, why = check_clause(clause_queue.pop())
             if implied is None:
-                return False
+                return why
             for comp, sym in implied:
                 cur = values[comp]
                 if cur != _UNASSIGNED:
                     if cur != sym:
-                        return False
+                        return why | reasons[comp]
                     continue
                 if sym not in allowed[comp]:
-                    return False
-                assign(comp, sym, fun_queue, clause_queue)
-        return True
+                    return why
+                assign(comp, sym, why, fun_queue, clause_queue)
+        return None
 
-    def decide(var, sym):
+    def decide(var, sym, level):
         fun_queue, clause_queue = [], []
-        assign(var, sym, fun_queue, clause_queue)
+        assign(var, sym, 1 << level, fun_queue, clause_queue)
         return propagate(fun_queue, clause_queue)
 
     def backtrack_to(mark):
@@ -341,9 +365,11 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None):
                     open_count[ci] += 1
             elif v in syms:
                 sat_count[ci] += 1
-    if not propagate(list(scope), list(range(len(or_clauses)))):
+    if propagate(list(scope), list(range(len(or_clauses)))) is not None:
         return
 
+    # stack[k - 1] = [var, untried symbols, trail mark, ptr, conflict set]
+    # for the decision at level k
     stack = []
     ptr = 0
 
@@ -378,6 +404,12 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None):
                 syms = [0, 1, FREE]
         return [s for s in syms if s in allowed[var]]
 
+    # Conflict-directed backjumping (Prosser 1993): a conflict returns to
+    # the highest level it rests on, and the levels skipped hold no
+    # solution.  The rest of the conflict joins that level's conflict set,
+    # which becomes the conflict once the level runs out of symbols.
+    # Variable and symbol order are those of chronological search, so the
+    # solutions come out in the same order.
     while True:
         clock.poll()
         var = pick_support_var()
@@ -389,25 +421,27 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None):
                 ptr += 1
         if var is None:
             yield Cube(tuple(values))
-            conflict = True
+            # resume chronologically: treat the solution as resting on
+            # every level
+            conflict = (1 << (len(stack) + 1)) - 2
         else:
             syms = symbol_order(var)
-            if not syms:
-                conflict = True
-            else:
-                first, rest = syms[0], syms[1:]
-                stack.append([var, rest, len(trail), ptr])
-                conflict = not decide(var, first)
-        while conflict:
-            if not stack:
+            stack.append([var, syms[1:], len(trail), ptr, 0])
+            conflict = decide(var, syms[0], len(stack))
+        while conflict is not None:
+            level = conflict.bit_length() - 1
+            if level < 1:
                 return
+            del stack[level:]
             top = stack[-1]
             backtrack_to(top[2])
             ptr = top[3]
+            top[4] |= conflict ^ (1 << level)
             if top[1]:
-                conflict = not decide(top[0], top[1].pop(0))
+                conflict = decide(top[0], top[1].pop(0), level)
             else:
                 stack.pop()
+                conflict = top[4]
 
 
 # ---------------------------------------------------------------------------
@@ -454,46 +488,16 @@ def _not_subset_clause(cube):
 # Minimal trap spaces
 
 
-def _async_walk(net, trap, rng, steps):
-    """Random asynchronous walk from a random vertex of the trap."""
-    values = [v if v != FREE else rng.randint(0, 1) for v in trap.values]
-    functions = net.functions
-    unstable = [
-        i for i in range(net.n) if evaluate(functions[i], values) != values[i]
-    ]
-    pos = {i: k for k, i in enumerate(unstable)}
-    # A flip of i can change the stability of i and its dependents only.
-    # The order of `unstable`, and with it the walk, follows the iteration
-    # order of these sets.
-    touched = [tuple({i, *deps}) for i, deps in enumerate(net.dependents)]
-    randrange = rng.randrange
-    for _ in range(steps):
-        if not unstable:
-            break
-        i = unstable[randrange(len(unstable))]
-        values[i] = 1 - values[i]
-        for t in touched[i]:
-            if evaluate(functions[t], values) != values[t]:
-                if t not in pos:
-                    pos[t] = len(unstable)
-                    unstable.append(t)
-            elif t in pos:
-                k = pos.pop(t)
-                last = unstable.pop()
-                if k < len(unstable):
-                    unstable[k] = last
-                    pos[last] = k
-    return tuple(values)
-
-
-def _simulate(net, state, steps):
+def _simulate(net, state, steps, clock):
     """The state after `steps` synchronous updates of `state` (steps >= 1).
 
     After one full image, each step re-evaluates only the dependents of
     the components the previous step changed: x_{k+1}[t] can differ from
     x_k[t] only if some regulator of t changed at step k.  A step that
     changes nothing has reached a fixed point, which ends the simulation.
+    The clock is checked before every step.
     """
+    clock.check_now()
     values = list(net.image(state))
     changed = [i for i, (new, old) in enumerate(zip(values, state)) if new != old]
     functions = net.functions
@@ -501,6 +505,7 @@ def _simulate(net, state, steps):
     for _ in range(steps - 1):
         if not changed:
             break
+        clock.check_now()
         woken = {t for i in changed for t in dependents[i]}
         changed = [t for t in woken if evaluate(functions[t], values) != values[t]]
         for t in changed:
@@ -508,21 +513,12 @@ def _simulate(net, state, steps):
     return tuple(values)
 
 
-def _descent_candidates(net, trap, rng):
-    """Heuristic states inside the trap whose closure may be smaller.
-
-    The caller stops at the first candidate that shrinks the trap, so the
-    walk and its random numbers are drawn only when the simulation did not.
-    """
-    yield _simulate(net, tuple(v if v != FREE else 0 for v in trap.values), _SIM_STEPS)
-    yield _async_walk(net, trap, rng, min(20000, 25 * net.n))
-
-
-def _free_sccs(net, free_set):
+def _free_sccs(net, free_set, clock):
     """Strongly connected components of the influence graph on `free_set`.
 
     Only components that can sustain a feedback (size > 1, or a single
-    node with a self-loop) are returned.
+    node with a self-loop) are returned.  The clock is polled once per
+    depth-first search root.
     """
     succs = {i: [t for t in net.dependents[i] if t in free_set] for i in free_set}
     index = {}
@@ -533,6 +529,7 @@ def _free_sccs(net, free_set):
     for root in sorted(free_set):
         if root in index:
             continue
+        clock.poll()
         work = [[root, 0]]
         while work:
             frame = work[-1]
@@ -700,7 +697,7 @@ def _certify_smaller(net, trap, clock):
     searching each feedback component in isolation is complete.
     """
     free_set = {i for i, v in enumerate(trap.values) if v == FREE}
-    for scc in sorted(_free_sccs(net, free_set), key=len):
+    for scc in sorted(_free_sccs(net, free_set, clock), key=len):
         scc_set = set(scc)
         domains = _scc_value_domains(net, trap, scc_set, clock)
         fixable = {i: domains[i] for i in sorted(scc_set)}
@@ -723,20 +720,17 @@ def _certify_smaller(net, trap, clock):
     return None
 
 
-def _minimize_trap(net, trap, clock, rng):
+def _minimize_trap(net, trap, clock):
     """Descend to a subset-minimal trap space inside the given one."""
-    # Heuristic phase: closures of simulated states inside the candidate.
+    # Heuristic phase: the closure of the state reached by synchronous
+    # simulation from the candidate's all-0 vertex, while that shrinks it.
     while not trap.is_state:
-        clock.check_now()
-        improved = False
-        for state in _descent_candidates(net, trap, rng):
-            smaller = closure(net, Cube.from_state(state))
-            if smaller != trap:
-                trap = smaller
-                improved = True
-                break
-        if not improved:
+        start = tuple(v if v != FREE else 0 for v in trap.values)
+        state = _simulate(net, start, _SIM_STEPS, clock)
+        smaller = closure(net, Cube.from_state(state))
+        if smaller == trap:
             break
+        trap = smaller
     # Exact phase: percolate determined components down, then look for a
     # fixable feedback component; repeat until certified minimal.
     while not trap.is_state:
@@ -752,7 +746,6 @@ def _minimize_trap(net, trap, clock, rng):
 def minimal_trap_spaces(net, within=None, limit=None, deadline=None):
     """Stream the subset-minimal trap spaces contained in `within`."""
     within, clock = _start(net, within, limit, deadline)
-    rng = random.Random(0)
     emitted = []
     while limit is None or len(emitted) < limit:
         if not emitted and is_trap_space(net, within):
@@ -763,7 +756,7 @@ def minimal_trap_spaces(net, within=None, limit=None, deadline=None):
             candidate = next(_trap_search(net, allowed, blocking, False, clock), None)
         if candidate is None:
             return
-        trap = _minimize_trap(net, candidate, clock, rng)
+        trap = _minimize_trap(net, candidate, clock)
         yield trap
         emitted.append(trap)
 

@@ -70,3 +70,12 @@ def test_jobs_parallel(tmp_path):
     assert [(r.model, r.status) for r in serial] == [
         (r.model, r.status) for r in parallel
     ]
+
+
+def test_unexpected_error_is_an_error_row(tmp_path, monkeypatch):
+    def broken(net, query, deadline=None):
+        raise RuntimeError("solver bug")
+
+    monkeypatch.setattr(bench, "run_query", broken)
+    records = bench.run_suite(write_suite(tmp_path), "fix", 30.0, jobs=1)
+    assert [r.status for r in records] == ["error", "error", "error"]

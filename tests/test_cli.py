@@ -85,6 +85,16 @@ def test_reach_mp_large_model(tmp_path):
         assert code == 0 and out in ("true\n", "false\n")
 
 
+def test_reach_boolean_mode_refuses_large_model(tmp_path):
+    path = tmp_path / "big.bnet"
+    assert run("generate", "--nodes", "300", "--seed", "1", "--out", str(path))[0] == 0
+    x, y = "0" * 300, "1" * 300
+    for mode in ("asynchronous", "synchronous", "general"):
+        code, out, err = run("reach", str(path), x, y, "--mode", mode)
+        assert (code, out) == (1, "")
+        assert "too large" in err and "Traceback" not in err
+
+
 def test_attractors(model):
     code, out, _ = run("attractors", model)
     assert (code, sorted(out.splitlines())) == (0, ["01*", "100"])

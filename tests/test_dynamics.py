@@ -18,6 +18,7 @@ from bnkit.cubes import state_to_str
 from bnkit.dynamics import (
     DEC,
     INC,
+    STG_CAP,
     DynamicsError,
     ext_state_to_str,
     mp_projected_stg,
@@ -147,6 +148,21 @@ def test_reachability_paper_verdicts(example):
 def test_reachability_boolean_modes(example):
     assert reachability(example, (0, 0, 0), (0, 1, 1), "asynchronous")
     assert not reachability(example, (0, 1, 0), (1, 0, 0), "asynchronous")
+
+
+def test_boolean_reachability_cap():
+    # like build_stg, the explicit search refuses n > STG_CAP up front,
+    # even for x == y; mp reachability has no cap
+    big = random_network(0, STG_CAP + 1)
+    x = (0,) * big.n
+    for mode in ("asynchronous", "synchronous", "general"):
+        with pytest.raises(DynamicsError):
+            reachability(big, x, x, mode)
+    assert reachability(big, x, x, "mp")
+    net = random_network(0, STG_CAP)
+    x = (0,) * net.n
+    for y in successors(net, x, "asynchronous"):
+        assert reachability(net, x, y, "asynchronous")
 
 
 def test_async_edges_are_mp_reachable():

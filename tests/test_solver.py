@@ -249,6 +249,7 @@ def test_simulate_equals_repeated_image():
     nets = [random_network(seed, 3 + seed % 6) for seed in range(60)]
     nets.extend(generated_nets(200, range(3)))
     rng = random.Random(7)
+    clock = solver._Deadline(None)
     settled = cycling = 0
     for net in nets:
         for _ in range(4):
@@ -257,12 +258,53 @@ def test_simulate_equals_repeated_image():
             for _ in range(60):
                 images.append(net.image(images[-1]))
             for k in (1, 2, 8, 60):
-                assert solver._simulate(net, x, k) == images[k]
+                assert solver._simulate(net, x, k, clock) == images[k]
             if net.image(images[60]) == images[60]:
                 settled += 1
             else:
                 cycling += 1
     assert settled > 20 and cycling > 20
+
+
+def test_simulate_polls_the_clock():
+    net = random_network(0, 6)
+    expired = solver._Deadline(time.monotonic() - 1.0)
+    with pytest.raises(solver.SolverTimeout):
+        solver._simulate(net, (0,) * net.n, 60, expired)
+
+
+def generated(family, seed):
+    return parse_bnet(generate_bnet(GenSpec(n=200, family=family, seed=seed)))
+
+
+# The reproducers below ran past their deadline with chronological
+# backtracking; each gets 10 s so that a regression fails instead of hanging.
+
+
+def test_first_min_nested_canalizing_reproducer():
+    # certifying the descent's trap took 250k decisions (scale-first seed 21)
+    net = generated("nested-canalizing-unate", 1400888027)
+    trap = next(minimal_trap_spaces(net, deadline=time.monotonic() + 10.0))
+    assert is_trap_space(net, trap)
+
+
+def test_certify_full_cube_inhibitor_dominant_reproducer():
+    net = generated("inhibitor-dominant", 1275114242)
+    full = Cube.full(net.n)
+    clock = solver._Deadline(time.monotonic() + 10.0)
+    found = solver._certify_smaller(net, full, clock)
+    assert found is not None and found != full and is_trap_space(net, found)
+
+
+@pytest.mark.parametrize(
+    "family, seed",
+    [("inhibitor-dominant", 443335534), ("nested-canalizing-unate", 1736744011)],
+)
+def test_first_max_reproducers(family, seed):
+    # two of the first-max queries that hung on scale-max seed 501
+    net = generated(family, seed)
+    trap = next(maximal_trap_spaces(net, deadline=time.monotonic() + 10.0))
+    assert is_trap_space(net, trap) and trap != Cube.full(net.n)
 
 
 def test_first_min_at_10k_nested_canalizing():
