@@ -41,7 +41,7 @@ def run_model(path, problem, timeout):
     start = time.monotonic()
     deadline = start + timeout
     try:
-        net = parse_bnet(path.read_text())
+        net = parse_bnet(path.read_text(encoding="utf-8"))
         if time.monotonic() > deadline:
             raise SolverTimeout
         # an unknown problem name fails in run_query as an unknown kind

@@ -13,13 +13,19 @@ backjumping), skipping levels that cannot change its outcome; branching
 order is that of chronological search, so solutions come out in the
 same order.
 
-Minimal trap spaces are found by descending through closures of states,
-each reached by synchronous simulation from the candidate's all-0
-vertex, and certified per feedback SCC by searching for a strictly
-smaller trap space.  Maximal ones grow by repeated search for a strictly
-larger trap space.  Emitted minimal trap spaces are blocked by
+Extremality comes from the value order of the search: decisions try
+FREE last for minimal trap spaces and first for maximal ones, so the
+first answer of a search is already subset-minimal (maximal); see
+``_trap_search``.  Emitted minimal trap spaces are blocked by
 disjointness constraints (minimal trap spaces are pairwise disjoint),
-emitted maximal ones by excluding their subcubes.  The solver is
+emitted maximal ones by excluding their subcubes.  These clauses hold on
+every cube below (above) an admitted one, so each answer is extremal
+among all trap spaces in `within` (the full cube aside, for maximal
+ones).  When `within` is itself a trap space, the first minimal one is
+reached by descent from it instead, which is much faster on large
+networks: closures of states, each reached by synchronous simulation
+from the candidate's all-0 vertex, then certification per feedback SCC
+by searching for a strictly smaller trap space.  The solver is
 deterministic: it draws no random numbers.
 """
 
@@ -108,6 +114,17 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None):
     With ``scope``, only the given components are searched; all others
     must have singleton domains (they are pinned up front) and their
     closedness is not re-checked, which the callers guarantee to be sound.
+
+    The first answer S is subset-minimal among the admitted trap spaces
+    when FREE is tried last (``prefer_free`` false), and subset-maximal
+    when it is tried first (Castell et al. 1996; Di Rosa, Giunchiglia &
+    Maratea 2010).  Say T is strictly inside S and admitted, and d is the
+    first component on S's trail where they differ.  Every earlier
+    assignment agrees with T, and propagation and backjumping are sound,
+    so d was a decision with S_d = FREE.  T_d was tried before FREE on
+    the same trail, and that subtree holds T, so the search would have
+    answered from it first.  The maximal case is the dual.  Any change to
+    the symbol order must keep FREE last (first) for this to hold.
     """
     if not all(allowed):
         return
@@ -721,7 +738,11 @@ def _certify_smaller(net, trap, clock):
 
 
 def _minimize_trap(net, trap, clock):
-    """Descend to a subset-minimal trap space inside the given one."""
+    """Descend to a subset-minimal trap space inside the given one.
+
+    Only the first answer inside a `within` that is a trap space comes
+    from here, for speed: every search answer is minimal as it stands.
+    """
     # Heuristic phase: the closure of the state reached by synchronous
     # simulation from the candidate's all-0 vertex, while that shrinks it.
     while not trap.is_state:
@@ -749,47 +770,19 @@ def minimal_trap_spaces(net, within=None, limit=None, deadline=None):
     emitted = []
     while limit is None or len(emitted) < limit:
         if not emitted and is_trap_space(net, within):
-            candidate = within
+            trap = _minimize_trap(net, within, clock)
         else:
             allowed = _allowed_within(within)
             blocking = [_disjoint_clause(t) for t in emitted]
-            candidate = next(_trap_search(net, allowed, blocking, False, clock), None)
-        if candidate is None:
+            trap = next(_trap_search(net, allowed, blocking, False, clock), None)
+        if trap is None:
             return
-        trap = _minimize_trap(net, candidate, clock)
         yield trap
         emitted.append(trap)
 
 
 # ---------------------------------------------------------------------------
 # Maximal trap spaces
-
-
-def _maximize_trap(net, trap, within, clock):
-    """Ascend to a subset-maximal trap space (full cube excluded)."""
-    n = net.n
-    while True:
-        clock.check_now()
-        allowed = []
-        growable = []
-        for i, (v, w) in enumerate(zip(trap.values, within.values)):
-            if v == FREE:
-                allowed.append({FREE})
-            elif w == FREE:
-                allowed.append({v, FREE})
-                growable.append(i)
-            else:
-                allowed.append({v})
-        if not growable:
-            return trap
-        clauses = [
-            [(i, {FREE}) for i in growable],  # strictly larger
-            [(i, {0, 1}) for i in range(n)],  # still not the full cube
-        ]
-        bigger = next(_trap_search(net, allowed, clauses, True, clock), None)
-        if bigger is None:
-            return trap
-        trap = bigger
 
 
 def maximal_trap_spaces(net, within=None, limit=None, deadline=None):
@@ -800,12 +793,9 @@ def maximal_trap_spaces(net, within=None, limit=None, deadline=None):
         allowed = _allowed_within(within)
         clauses = [[(i, {0, 1}) for i in range(net.n)]]
         clauses.extend(_not_subset_clause(t) for t in emitted)
-        candidate = next(
-            _trap_search(net, allowed, clauses, True, clock), None
-        )
-        if candidate is None:
+        trap = next(_trap_search(net, allowed, clauses, True, clock), None)
+        if trap is None:
             return
-        trap = _maximize_trap(net, candidate, within, clock)
         yield trap
         emitted.append(trap)
 

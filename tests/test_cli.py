@@ -174,6 +174,42 @@ def test_exit_code_parse_error(tmp_path):
     assert "nested too deeply" in err
 
 
+def test_exit_code_undecodable_model(tmp_path):
+    path = tmp_path / "latin1.bnet"
+    path.write_bytes(b"a, \xff\n")
+    code, out, err = run("fixpoints", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("model error: cannot read") and "utf-8" in err
+
+
+FUZZ_TOKENS = (
+    ["a", "b", "c", "x_1", "targets", "factors", "0", "1", "!", "&", "|"]
+    + ["(", ")", ",", " ", "\n", "\r", "\r\n", "\t", "\x00", "#", "$", "-", "é"]
+)
+
+
+def test_fuzz_model_text_exits_0_or_2(tmp_path):
+    # Random model texts, one of them not UTF-8: every run ends in a result
+    # or a classified model error, never an exception or a usage error.
+    rng = random.Random(808)
+    paths = []
+    for k in range(300):
+        text = "".join(rng.choice(FUZZ_TOKENS) for _ in range(rng.randint(0, 40)))
+        if rng.random() < 0.3:
+            text = "a, b\nb, a\n" + text
+        path = tmp_path / ("fuzz%d.bnet" % k)
+        path.write_bytes(text.encode("utf-8"))
+        paths.append(path)
+    paths[0].write_bytes(b"a, !a\n\xc3(\n")
+    codes = []
+    for path in paths:
+        code, _out, err = run("fixpoints", str(path))
+        assert code in (0, 2)
+        assert (code == 2) == err.startswith("model error:")
+        codes.append(code)
+    assert 10 < codes.count(0) and 10 < codes.count(2)
+
+
 def test_exit_code_normalization_error(tmp_path, monkeypatch):
     # the clause cap is lowered so that a small product of sums overflows it
     monkeypatch.setattr(

@@ -155,6 +155,49 @@ def test_branch_order_independence(seed, monkeypatch):
     assert answers() == forward
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_first_search_answer_is_extremal(reverse, monkeypatch):
+    # The enumerators yield first answers of `_trap_search` unchecked: with
+    # FREE tried last (first), the first answer under disjointness
+    # (not-full and not-subset) clauses must already be minimal (maximal)
+    # among all trap spaces in `within`.
+    if reverse:
+        reverse_branch_order(monkeypatch)
+    rng = random.Random(4242)
+    clock = solver._Deadline(None)
+    answered = {False: 0, True: 0}
+    for _seed, net in oracle_suite():
+        table = image_table(net)
+        within = Cube.full(net.n)
+        if rng.random() < 0.5:
+            within = Cube(tuple(rng.choice((0, 1, 2, 2)) for _ in range(net.n)))
+        allowed = solver._allowed_within(within)
+        blocks = [
+            Cube(tuple(rng.choice((0, 1, 2)) for _ in range(net.n)))
+            for _ in range(rng.randint(0, 3))
+        ]
+        for prefer_free, oracle, clause, admitted in (
+            (False, oracle_minimal_traps, solver._disjoint_clause,
+             lambda t: all(t.intersect(b) is None for b in blocks)),
+            (True, oracle_maximal_traps, solver._not_subset_clause,
+             lambda t: not any(t.subset(b) for b in blocks)),
+        ):
+            clauses = [clause(b) for b in blocks]
+            if prefer_free:
+                clauses.append([(i, {0, 1}) for i in range(net.n)])
+            found = next(
+                solver._trap_search(net, allowed, clauses, prefer_free, clock),
+                None,
+            )
+            expect = {t for t in oracle(net, within, table) if admitted(t)}
+            if found is None:
+                assert not expect
+            else:
+                assert found in expect
+                answered[prefer_free] += 1
+    assert min(answered.values()) > 50
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_solution_invariants(seed):
     net = random_network(seed, 6)
