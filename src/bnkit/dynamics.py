@@ -205,15 +205,25 @@ def _mp_reachable(net, x, y):
         pinned |= stuck
 
 
+def _binary_state(net, state):
+    """`state` as a tuple, refused unless it is a binary state of `net`."""
+    state = tuple(state)
+    if len(state) != net.n:
+        raise DynamicsError(
+            "state length mismatch (%d values, n=%d)" % (len(state), net.n)
+        )
+    if any(v not in (0, 1) for v in state):
+        raise DynamicsError("state values must be 0 or 1")
+    return state
+
+
 def reachability(net, x, y, mode="mp"):
     """True iff y is reachable from x under the update mode.
 
     Boolean modes search the explicit state space, so like `build_stg`
     they refuse networks with more than ``STG_CAP`` components.
     """
-    x, y = tuple(x), tuple(y)
-    if len(x) != net.n or len(y) != net.n:
-        raise DynamicsError("state length mismatch")
+    x, y = _binary_state(net, x), _binary_state(net, y)
     if mode != "mp" and net.n > STG_CAP:
         raise DynamicsError(
             "network too large for explicit-state reachability (n=%d, cap=%d)"
@@ -243,7 +253,7 @@ def attractors(net, reachable_from=None, limit=None, deadline=None):
     """
     within = None
     if reachable_from is not None:
-        within = closure(net, Cube.from_state(tuple(reachable_from)))
+        within = closure(net, Cube.from_state(_binary_state(net, reachable_from)))
     return minimal_trap_spaces(net, within=within, limit=limit, deadline=deadline)
 
 

@@ -16,7 +16,10 @@ same order.
 Extremality comes from the value order of the search: decisions try
 FREE last for minimal trap spaces and first for maximal ones, so the
 first answer of a search is already subset-minimal (maximal); see
-``_trap_search``.  Emitted minimal trap spaces are blocked by
+``_trap_search``.  A drain of minimal or maximal trap spaces is one
+search: each answer is recorded as a clause and the search continues
+under it (clasp's domRec enumeration), jumping back to the highest level
+the clause rests on.  Emitted minimal trap spaces are blocked by
 disjointness constraints (minimal trap spaces are pairwise disjoint),
 emitted maximal ones by excluding their subcubes.  These clauses hold on
 every cube below (above) an admitted one, so each answer is extremal
@@ -25,8 +28,9 @@ ones).  When `within` is itself a trap space, the first minimal one is
 reached by descent from it instead, which is much faster on large
 networks: closures of states, each reached by synchronous simulation
 from the candidate's all-0 vertex, then certification per feedback SCC
-by searching for a strictly smaller trap space.  The solver is
-deterministic: it draws no random numbers.
+by searching for a strictly smaller trap space; the search for the rest
+starts with its disjointness clause.  The solver is deterministic: it
+draws no random numbers.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 from .cubes import FREE, Cube, closure, eval_mask, is_trap_space
 from .network import evaluate
@@ -97,13 +102,21 @@ def _branch_order(net):
 _UNASSIGNED = -1
 
 
-def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None):
+def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block=None):
     """Stream full symbol assignments (cubes) that are trap spaces.
 
     ``allowed[i]`` is the set of admissible symbols (0, 1, FREE) for
     component i; ``or_clauses`` is a list of clauses, each a list of
     ``(component, admissible symbol set)`` literals, at least one of which
     must hold in every solution.
+
+    With ``block``, a function from an answer to a clause that the answer
+    falsifies, every answer is recorded as its clause and the search goes
+    on under it (clasp's domRec enumeration): the clause is a conflict
+    resting on the levels of its components, so the search jumps back to
+    the highest of them.  The levels skipped are sound to drop, since every
+    leaf below them keeps the answer's values on the clause's components.
+    Without it the search resumes chronologically after each answer.
 
     A component none of whose regulators may be FREE is two-valued: its
     function is evaluated at a single state, so clause reasoning is exact
@@ -125,6 +138,13 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None):
     the same trail, and that subtree holds T, so the search would have
     answered from it first.  The maximal case is the dual.  Any change to
     the symbol order must keep FREE last (first) for this to hold.
+
+    Later answers under ``block`` are extremal too.  The argument above
+    puts a strictly smaller (larger) admitted T in a subtree searched
+    before S.  Clauses only grow, so that subtree was searched under a
+    subset of the clauses T satisfies, and every leaf it admitted was
+    yielded: T would have been answered before S, and its own clause
+    would now exclude it.
     """
     if not all(allowed):
         return
@@ -165,12 +185,21 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None):
     # Clause state is kept incrementally: sat_count counts assigned
     # literals that satisfy the clause, open_count the unassigned ones
     # that still could.
+    clauses = []
     lit_by_var = [[] for _ in range(n)]
-    for ci, clause in enumerate(or_clauses):
+    sat_count = []
+    open_count = []
+
+    def add_clause(clause):
+        ci = len(clauses)
+        clauses.append(clause)
         for comp, syms in clause:
             lit_by_var[comp].append((ci, syms, bool(allowed[comp] & syms)))
-    sat_count = [0] * len(or_clauses)
-    open_count = [0] * len(or_clauses)
+        sat_count.append(0)
+        open_count.append(0)
+
+    for clause in or_clauses:
+        add_clause(clause)
 
     def clauses_assign(comp, sym):
         dirty = []
@@ -294,7 +323,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None):
         oc = open_count[ci]
         if oc > 1:
             return no_implications
-        clause = or_clauses[ci]
+        clause = clauses[ci]
         if oc == 0:
             return None, assigned_reason(comp for comp, _ in clause)
         for comp, syms in clause:
@@ -374,7 +403,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None):
     for i in scope:
         if uview[i] != FREE and unassigned_support[i] and not two_valued[i]:
             heapq.heappush(heap, (unassigned_support[i], i))
-    for ci, clause in enumerate(or_clauses):
+    for ci, clause in enumerate(clauses):
         for comp, syms in clause:
             v = values[comp]
             if v == _UNASSIGNED:
@@ -382,7 +411,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None):
                     open_count[ci] += 1
             elif v in syms:
                 sat_count[ci] += 1
-    if propagate(list(scope), list(range(len(or_clauses)))) is not None:
+    if propagate(list(scope), list(range(len(clauses)))) is not None:
         return
 
     # stack[k - 1] = [var, untried symbols, trail mark, ptr, conflict set]
@@ -437,10 +466,18 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None):
                     break
                 ptr += 1
         if var is None:
-            yield Cube(tuple(values))
-            # resume chronologically: treat the solution as resting on
-            # every level
-            conflict = (1 << (len(stack) + 1)) - 2
+            answer = Cube(tuple(values))
+            yield answer
+            if block is None:
+                # resume chronologically: treat the solution as resting on
+                # every level
+                conflict = (1 << (len(stack) + 1)) - 2
+            else:
+                # every literal is false under the answer, so both counts
+                # start at 0; backtracking restores them
+                clause = block(answer)
+                add_clause(clause)
+                conflict = assigned_reason(comp for comp, _ in clause)
         else:
             syms = symbol_order(var)
             stack.append([var, syms[1:], len(trail), ptr, 0])
@@ -475,10 +512,8 @@ def fixed_points(net, within=None, limit=None, deadline=None):
     within, clock = _start(net, within, limit, deadline)
     allowed = [{0, 1} if v == FREE else {v} for v in within.values]
     found = _trap_search(net, allowed, [], False, clock)
-    for count, cube in enumerate(found, 1):
+    for cube in islice(found, limit):
         yield cube.values
-        if count == limit:
-            return
 
 
 def _allowed_within(within):
@@ -767,18 +802,18 @@ def _minimize_trap(net, trap, clock):
 def minimal_trap_spaces(net, within=None, limit=None, deadline=None):
     """Stream the subset-minimal trap spaces contained in `within`."""
     within, clock = _start(net, within, limit, deadline)
-    emitted = []
-    while limit is None or len(emitted) < limit:
-        if not emitted and is_trap_space(net, within):
-            trap = _minimize_trap(net, within, clock)
-        else:
-            allowed = _allowed_within(within)
-            blocking = [_disjoint_clause(t) for t in emitted]
-            trap = next(_trap_search(net, allowed, blocking, False, clock), None)
-        if trap is None:
+    clauses = []
+    if is_trap_space(net, within):
+        first = _minimize_trap(net, within, clock)
+        yield first
+        if limit == 1:
             return
-        yield trap
-        emitted.append(trap)
+        clauses.append(_disjoint_clause(first))
+        if limit is not None:
+            limit -= 1
+    allowed = _allowed_within(within)
+    found = _trap_search(net, allowed, clauses, False, clock, block=_disjoint_clause)
+    yield from islice(found, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -788,16 +823,10 @@ def minimal_trap_spaces(net, within=None, limit=None, deadline=None):
 def maximal_trap_spaces(net, within=None, limit=None, deadline=None):
     """Stream the subset-maximal trap spaces in `within`, full cube excluded."""
     within, clock = _start(net, within, limit, deadline)
-    emitted = []
-    while limit is None or len(emitted) < limit:
-        allowed = _allowed_within(within)
-        clauses = [[(i, {0, 1}) for i in range(net.n)]]
-        clauses.extend(_not_subset_clause(t) for t in emitted)
-        trap = next(_trap_search(net, allowed, clauses, True, clock), None)
-        if trap is None:
-            return
-        yield trap
-        emitted.append(trap)
+    allowed = _allowed_within(within)
+    not_full = [[(i, {0, 1}) for i in range(net.n)]]
+    found = _trap_search(net, allowed, not_full, True, clock, block=_not_subset_clause)
+    yield from islice(found, limit)
 
 
 # ---------------------------------------------------------------------------

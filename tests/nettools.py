@@ -9,7 +9,8 @@ import random
 from collections import deque
 from itertools import product
 
-from bnkit import Cube, mp_successors, parse_bnet, vertices
+from bnkit import Cube, mp_successors, parse_bnet, solver, vertices
+from bnkit.cubes import is_trap_space
 from bnkit.dynamics import INC
 from bnkit.expressions import And, Const, Not, Var
 from bnkit.network import evaluate
@@ -235,3 +236,37 @@ def _scc_value_domains(net, trap, scc_set, clock):
                     refine(master)
                     changed = True
     return master
+
+
+# Restart-per-answer references for `solver.minimal_trap_spaces` and
+# `solver.maximal_trap_spaces`, which drain one search that records each
+# answer as a clause: here every answer comes from a fresh `_trap_search`
+# under the blocking clauses of all answers so far.
+def _minimal_trap_spaces(net, within=None):
+    within, clock = solver._start(net, within, None, None)
+    emitted = []
+    while True:
+        if not emitted and is_trap_space(net, within):
+            trap = solver._minimize_trap(net, within, clock)
+        else:
+            allowed = solver._allowed_within(within)
+            blocking = [solver._disjoint_clause(t) for t in emitted]
+            trap = next(solver._trap_search(net, allowed, blocking, False, clock), None)
+        if trap is None:
+            return
+        yield trap
+        emitted.append(trap)
+
+
+def _maximal_trap_spaces(net, within=None):
+    within, clock = solver._start(net, within, None, None)
+    emitted = []
+    while True:
+        allowed = solver._allowed_within(within)
+        clauses = [[(i, {0, 1}) for i in range(net.n)]]
+        clauses.extend(solver._not_subset_clause(t) for t in emitted)
+        trap = next(solver._trap_search(net, allowed, clauses, True, clock), None)
+        if trap is None:
+            return
+        yield trap
+        emitted.append(trap)

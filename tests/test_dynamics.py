@@ -165,6 +165,21 @@ def test_boolean_reachability_cap():
         assert reachability(net, x, y, "asynchronous")
 
 
+@pytest.mark.parametrize(
+    "bad", [(0, 1), (), (0, 1, 0, 1), (2, 1, 0), (0, 1, -1), (0, INC, 0)]
+)
+def test_bad_states_are_refused(example, bad):
+    # too short, too long or not binary, for the 3-component example
+    good = (0, 0, 0)
+    with pytest.raises(DynamicsError):
+        attractors(example, reachable_from=bad)
+    for mode in ("mp", "asynchronous"):
+        with pytest.raises(DynamicsError):
+            reachability(example, bad, good, mode)
+        with pytest.raises(DynamicsError):
+            reachability(example, good, bad, mode)
+
+
 def test_async_edges_are_mp_reachable():
     for seed in range(10):
         net = random_network(seed, 4)

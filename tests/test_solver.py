@@ -14,9 +14,11 @@ from bnkit import (
     parse_bnet,
     solver,
 )
-from bnkit.cubes import is_trap_space
+from bnkit.cubes import closure, is_trap_space
 from bnkit.generator import FAMILIES
 from nettools import (
+    _maximal_trap_spaces as restart_max,
+    _minimal_trap_spaces as restart_min,
     _scc_value_domains as sweep,
     image_table,
     oracle_fixed_points,
@@ -108,6 +110,73 @@ def test_limit_is_prefix():
     assert list(minimal_trap_spaces(net, limit=2)) == mins[:2]
     with pytest.raises(ValueError):
         list(fixed_points(net, limit=0))
+    rng = random.Random(31)
+    for _seed, net in oracle_suite(30):
+        cube = Cube(tuple(rng.choice((0, 1, 2, 2)) for _ in range(net.n)))
+        for within in (None, cube):
+            for enum in (fixed_points, minimal_trap_spaces, maximal_trap_spaces):
+                full = list(enum(net, within))
+                for k in range(1, 5):
+                    assert list(enum(net, within, limit=k)) == full[:k]
+
+
+def identity_cases():
+    """Nets and restrictions: `oracle_suite()` without `within`, with a
+    random cube and with a trap space (the closure of a random state), and
+    100 random nets with n = 2..12."""
+    rng = random.Random(2024)
+    for _seed, net in oracle_suite():
+        yield net, None
+        yield net, Cube(tuple(rng.choice((0, 1, 2, 2)) for _ in range(net.n)))
+        state = tuple(rng.randint(0, 1) for _ in range(net.n))
+        yield net, closure(net, Cube.from_state(state))
+    for seed in range(100):
+        yield random_network(7000 + seed, 2 + seed % 11), None
+
+
+def test_drains_match_restart_per_answer_reference():
+    # One search per drain must give the streams, order included, of a
+    # fresh search per answer.
+    kinds = {False: 0, True: 0}
+    for net, within in identity_cases():
+        if within is not None:
+            kinds[is_trap_space(net, within)] += 1
+        assert list(minimal_trap_spaces(net, within)) == list(restart_min(net, within))
+        assert list(maximal_trap_spaces(net, within)) == list(restart_max(net, within))
+    assert min(kinds.values()) > 100
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Record every `_trap_search` call made without `scope`; scoped calls
+    certify a single answer and are not counted."""
+    calls = []
+    search = solver._trap_search
+
+    def counted(*args, **kwargs):
+        if kwargs.get("scope") is None:
+            calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_trap_search", counted)
+    return calls
+
+
+def test_a_drain_runs_one_search(searches):
+    rng = random.Random(5)
+    answers = 0
+    for _seed, net in oracle_suite(60):
+        cube = Cube(tuple(rng.choice((0, 1, 2, 2)) for _ in range(net.n)))
+        for within in (None, cube):
+            for enum in (minimal_trap_spaces, maximal_trap_spaces):
+                searches.clear()
+                answers += len(list(enum(net, within)))
+                assert len(searches) == 1
+    assert answers > 200
+    searches.clear()
+    net = random_network(3, 6)
+    assert len(list(minimal_trap_spaces(net, limit=1))) == 1
+    assert searches == []
 
 
 def random_within(rng, net, table):
