@@ -14,7 +14,7 @@ import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
-from .network import ParseError, parse_bnet
+from .network import parse_bnet
 from .solver import Query, SolverTimeout, run_query
 
 QUERY_KINDS = {
@@ -50,7 +50,7 @@ def run_model(path, problem, timeout):
         status = "ok"
     except SolverTimeout:
         status = "timeout"
-    except (ParseError, ValueError, OSError):
+    except (ValueError, OSError):
         status = "error"
     except Exception:
         # a failure of one model must not end the suite: report it, go on

@@ -15,10 +15,9 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .cubes import Cube, CubeError, parse_state
+from .cubes import Cube, parse_state
 from .dynamics import (
     BOOLEAN_MODES,
-    DynamicsError,
     attractors,
     build_stg,
     influence_graph,
@@ -54,10 +53,7 @@ def _load_model(path):
 def _parse_within(args, net):
     if args.within is None:
         return None
-    try:
-        return Cube.parse(args.within, net.names)
-    except CubeError as exc:
-        raise UsageError(str(exc)) from exc
+    return Cube.parse(args.within, net.names)
 
 
 def _emit_cubes(stream, net, as_json, out):
@@ -93,10 +89,7 @@ def _cmd_attractors(args, out):
     net = _load_model(args.model)
     start = None
     if args.reachable_from is not None:
-        try:
-            start = parse_state(args.reachable_from, net.n)
-        except CubeError as exc:
-            raise UsageError(str(exc)) from exc
+        start = parse_state(args.reachable_from, net.n)
     stream = attractors(net, reachable_from=start, limit=args.limit)
     _emit_cubes(stream, net, args.json, out)
     return 0
@@ -104,11 +97,8 @@ def _cmd_attractors(args, out):
 
 def _cmd_reach(args, out):
     net = _load_model(args.model)
-    try:
-        x = parse_state(args.source, net.n)
-        y = parse_state(args.target, net.n)
-    except CubeError as exc:
-        raise UsageError(str(exc)) from exc
+    x = parse_state(args.source, net.n)
+    y = parse_state(args.target, net.n)
     verdict = reachability(net, x, y, mode=args.mode)
     out.write("true\n" if verdict else "false\n")
     return 0
@@ -118,10 +108,7 @@ def _cmd_stg(args, out):
     net = _load_model(args.model)
     restrict = None
     if args.restrict is not None:
-        try:
-            restrict = Cube.parse(args.restrict, net.names)
-        except CubeError as exc:
-            raise UsageError(str(exc)) from exc
+        restrict = Cube.parse(args.restrict, net.names)
     if args.projected:
         if args.mode != "mp":
             raise UsageError("--projected requires --mode mp")
@@ -146,10 +133,7 @@ def _cmd_influence(args, out):
 
 
 def _cmd_generate(args, out):
-    try:
-        spec = GenSpec(n=args.nodes, gamma=args.gamma, family=args.family, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = GenSpec(n=args.nodes, gamma=args.gamma, family=args.family, seed=args.seed)
     text = generate_bnet(spec)
     if args.out:
         Path(args.out).write_text(text)
@@ -256,7 +240,10 @@ def main(argv=None, out=None, err=None):
     except (ParseError, NetworkError, NormalizationError) as exc:
         err.write("model error: %s\n" % exc)
         return 2
-    except (CubeError, DynamicsError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
+        # bad cubes, states and options (CubeError, DynamicsError and the
+        # generator's checks are ValueErrors), or an --out path that
+        # cannot be written
         err.write("usage error: %s\n" % exc)
         return 1
 

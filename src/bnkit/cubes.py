@@ -42,6 +42,7 @@ class Cube:
         if "=" in text:
             values = [FREE] * len(names)
             index = {name: i for i, name in enumerate(names)}
+            given = set()
             for item in text.split(","):
                 item = item.strip()
                 if not item:
@@ -53,8 +54,11 @@ class Cube:
                 val = val.strip()
                 if name not in index:
                     raise CubeError("unknown component %r" % name)
+                if name in given:
+                    raise CubeError("component %r given twice" % name)
                 if val not in ("0", "1", "*"):
                     raise CubeError("invalid value %r for %r" % (val, name))
+                given.add(name)
                 values[index[name]] = _SYMBOLS.index(val)
             return cls(tuple(values))
         if len(text) != len(names):

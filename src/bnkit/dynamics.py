@@ -70,14 +70,9 @@ def successors(net, state, mode):
             out.add(tuple(nxt))
         return out
     if mode == "general":
-        out = set()
-        for bits in range(1, 1 << len(disagree)):
-            nxt = list(state)
-            for pos, i in enumerate(disagree):
-                if bits >> pos & 1:
-                    nxt[i] = image[i]
-            out.add(tuple(nxt))
-        return out
+        # any nonempty set of the disagreeing components updates at once
+        span = Cube(tuple(v if v == w else FREE for v, w in zip(state, image)))
+        return set(vertices(span, cap=net.n)) - {tuple(state)}
     raise DynamicsError("unknown update mode %r" % (mode,))
 
 

@@ -117,9 +117,6 @@ class Dnf:
     def is_true(self):
         return self.clauses == ((),)
 
-    def support(self):
-        return frozenset(comp for clause in self.clauses for comp, _ in clause)
-
     def is_unate(self):
         signs = {}
         for clause in self.clauses:
@@ -141,9 +138,6 @@ class Bdd:
     Node ids: 0 is the false leaf, 1 the true leaf; internal nodes live in
     ``self.nodes`` as ``(component, low, high)`` triples keyed by id.
     """
-
-    FALSE = 0
-    TRUE = 1
 
     def __init__(self, nodes, root):
         self.nodes = nodes
@@ -224,15 +218,19 @@ def build_bdd(dnf):
 
 
 class NodeFunction:
-    """One component's update function: canonical DNF plus optional BDD."""
+    """One component's update function: canonical DNF plus optional BDD.
+
+    ``support`` is the tuple of the components the function reads, in
+    index order.
+    """
 
     __slots__ = ("dnf", "unate", "bdd", "support")
 
-    def __init__(self, dnf, unate, bdd):
+    def __init__(self, dnf, unate, bdd, support):
         self.dnf = dnf
         self.unate = unate
         self.bdd = bdd
-        self.support = dnf.support()
+        self.support = support
 
     def __repr__(self):
         return "NodeFunction(%s)" % (self.dnf.clauses,)
@@ -246,7 +244,8 @@ def normalize(expr, index, clause_cap=DEFAULT_CLAUSE_CAP):
     dnf = _canonical(_to_clauses(expr, index, True, clause_cap))
     unate = dnf.is_unate()
     bdd = None if unate else build_bdd(dnf)
-    return NodeFunction(dnf, unate, bdd)
+    support = tuple(sorted({comp for clause in dnf.clauses for comp, _ in clause}))
+    return NodeFunction(dnf, unate, bdd, support)
 
 
 def evaluate(fn, state):
@@ -263,7 +262,7 @@ def evaluate(fn, state):
 class BooleanNetwork:
     """Ordered, immutable collection of named components with functions.
 
-    Derived indices (supports, dependents, literal occurrence counts) are
+    Derived indices (dependents, literal occurrence counts) are
     precomputed at construction for the solver and dynamics modules.
     """
 
@@ -287,7 +286,7 @@ class BooleanNetwork:
         self.dependents = [[] for _ in range(self.n)]
         self.occ_count = [0] * self.n
         for i, fn in enumerate(self.functions):
-            for comp in sorted(fn.support):
+            for comp in fn.support:
                 self.dependents[comp].append(i)
             for clause in fn.dnf.clauses:
                 for comp, _ in clause:

@@ -108,7 +108,10 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
     ``allowed[i]`` is the set of admissible symbols (0, 1, FREE) for
     component i; ``or_clauses`` is a list of clauses, each a list of
     ``(component, admissible symbol set)`` literals, at least one of which
-    must hold in every solution.
+    must hold in every solution.  Clauses may be added at any point of the
+    search: ``add_clause`` counts each one under the current assignment,
+    and backtracking keeps the counts in step.  A clause that is already
+    unit or false when added is the adder's to act on.
 
     With ``block``, a function from an answer to a clause that the answer
     falsifies, every answer is recorded as its clause and the search goes
@@ -155,10 +158,6 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
         if FREE in opts:
             for t in net.dependents[i]:
                 two_valued[t] = False
-    # regulator order for support completion, which skips two-valued comps
-    supports = [
-        None if tv else sorted(fn.support) for fn, tv in zip(functions, two_valued)
-    ]
     unassigned_support = [len(fn.support) for fn in functions]
 
     values = [_UNASSIGNED] * n  # symbol or -1
@@ -191,12 +190,20 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
     open_count = []
 
     def add_clause(clause):
+        """Register a clause, counted under the current assignment."""
         ci = len(clauses)
         clauses.append(clause)
+        sat = opened = 0
         for comp, syms in clause:
-            lit_by_var[comp].append((ci, syms, bool(allowed[comp] & syms)))
-        sat_count.append(0)
-        open_count.append(0)
+            feasible = bool(allowed[comp] & syms)
+            lit_by_var[comp].append((ci, syms, feasible))
+            v = values[comp]
+            if v == _UNASSIGNED:
+                opened += feasible
+            elif v in syms:
+                sat += 1
+        sat_count.append(sat)
+        open_count.append(opened)
 
     for clause in or_clauses:
         add_clause(clause)
@@ -390,28 +397,11 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
                     heapq.heappush(heap, (unassigned_support[t], t))
 
     # Level-0: pin singleton domains, then propagate everything once.
+    fun_queue, clause_queue = list(scope), list(range(len(clauses)))
     for i in scope:
-        opts = allowed[i]
-        if len(opts) == 1:
-            sym = next(iter(opts))
-            values[i] = sym
-            if sym != FREE:
-                uview[i] = sym
-            trail.append(i)
-            for t in dependents[i]:
-                unassigned_support[t] -= 1
-    for i in scope:
-        if uview[i] != FREE and unassigned_support[i] and not two_valued[i]:
-            heapq.heappush(heap, (unassigned_support[i], i))
-    for ci, clause in enumerate(clauses):
-        for comp, syms in clause:
-            v = values[comp]
-            if v == _UNASSIGNED:
-                if allowed[comp] & syms:
-                    open_count[ci] += 1
-            elif v in syms:
-                sat_count[ci] += 1
-    if propagate(list(scope), list(range(len(clauses)))) is not None:
+        if len(allowed[i]) == 1:
+            assign(i, next(iter(allowed[i])), 0, fun_queue, clause_queue)
+    if propagate(fun_queue, clause_queue) is not None:
         return
 
     # stack[k - 1] = [var, untried symbols, trail mark, ptr, conflict set]
@@ -431,7 +421,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
             if cnt != unassigned_support[j]:
                 heapq.heapreplace(heap, (unassigned_support[j], j))
                 continue
-            for s in supports[j]:
+            for s in functions[j].support:
                 if values[s] == _UNASSIGNED:
                     return s
             heapq.heappop(heap)
@@ -473,8 +463,6 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
                 # every level
                 conflict = (1 << (len(stack) + 1)) - 2
             else:
-                # every literal is false under the answer, so both counts
-                # start at 0; backtracking restores them
                 clause = block(answer)
                 add_clause(clause)
                 conflict = assigned_reason(comp for comp, _ in clause)
@@ -799,21 +787,21 @@ def _minimize_trap(net, trap, clock):
     return trap
 
 
-def minimal_trap_spaces(net, within=None, limit=None, deadline=None):
-    """Stream the subset-minimal trap spaces contained in `within`."""
-    within, clock = _start(net, within, limit, deadline)
+def _minimal_stream(net, within, clock):
+    """The descent answer when `within` is a trap space, then one search."""
     clauses = []
     if is_trap_space(net, within):
         first = _minimize_trap(net, within, clock)
         yield first
-        if limit == 1:
-            return
         clauses.append(_disjoint_clause(first))
-        if limit is not None:
-            limit -= 1
     allowed = _allowed_within(within)
-    found = _trap_search(net, allowed, clauses, False, clock, block=_disjoint_clause)
-    yield from islice(found, limit)
+    yield from _trap_search(net, allowed, clauses, False, clock, block=_disjoint_clause)
+
+
+def minimal_trap_spaces(net, within=None, limit=None, deadline=None):
+    """Stream the subset-minimal trap spaces contained in `within`."""
+    within, clock = _start(net, within, limit, deadline)
+    yield from islice(_minimal_stream(net, within, clock), limit)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,17 @@ def image_table(net):
     return {state: net.image(state) for state in product((0, 1), repeat=net.n)}
 
 
+def oracle_general_successors(net, state):
+    """States other than `state` whose every component keeps its value or
+    takes its image, found by enumerating all states."""
+    image = net.image(state)
+    return {
+        y
+        for y in product((0, 1), repeat=net.n)
+        if y != state and all(v in (x, fx) for v, x, fx in zip(y, state, image))
+    }
+
+
 def oracle_fixed_points(net, within=None, table=None):
     table = table or image_table(net)
     if within is None:

@@ -227,6 +227,39 @@ def test_bad_within(model):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("fixpoints", "--within", "01", "MODEL"), "expected 3 symbols, got 2"),
+        (("trapspaces", "--within", "a=1,a=0", "MODEL"), "component 'a' given twice"),
+        (
+            ("attractors", "--reachable-from", "012", "MODEL"),
+            "expected a binary state of length 3",
+        ),
+        (("reach", "MODEL", "000", "11"), "expected a binary state of length 3"),
+        (("stg", "MODEL", "--restrict", "a=2"), "invalid value '2' for 'a'"),
+        (("generate", "--nodes", "0"), "n must be >= 1"),
+    ],
+)
+def test_usage_error_message(model, argv, message):
+    code, out, err = run(*(model if arg == "MODEL" else arg for arg in argv))
+    assert (code, out, err) == (1, "", "usage error: %s\n" % message)
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, model):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "m1.bnet").write_text(EXAMPLE)
+    missing = tmp_path / "missing"
+    for argv, dest in (
+        (("generate", "--nodes", "5"), missing / "x.bnet"),
+        (("bench", "--suite", str(suite), "--problem", "fix"), missing / "x.tsv"),
+    ):
+        code, out, err = run(*argv, "--out", str(dest))
+        assert (code, out) == (1, "")
+        assert err == "usage error: [Errno 2] No such file or directory: %r\n" % str(dest)
+
+
 def test_generate_deterministic(tmp_path):
     code, out1, _ = run("generate", "--nodes", "20", "--seed", "4")
     code2, out2, _ = run("generate", "--nodes", "20", "--seed", "4")

@@ -25,6 +25,8 @@ def test_parse_and_format():
         Cube.parse("01", names)
     with pytest.raises(CubeError):
         Cube.parse("d=1", names)
+    with pytest.raises(CubeError, match="given twice"):
+        Cube.parse("a=1,a=0", names)
 
 
 def test_contains():

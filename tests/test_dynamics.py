@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -25,7 +26,7 @@ from bnkit.dynamics import (
     stg_to_dot,
     stg_to_json_obj,
 )
-from nettools import _mp_reachable_states, random_network
+from nettools import _mp_reachable_states, oracle_general_successors, random_network
 
 EXAMPLE = "targets, factors\na, !b\nb, !a\nc, !(a & !b) & !c\n"
 
@@ -49,6 +50,15 @@ def test_successors_worked_example(example):
 def test_general_mode():
     net = parse_bnet("a, 1\nb, 1")
     assert successors(net, (0, 0), "general") == {(1, 0), (0, 1), (1, 1)}
+
+
+def test_general_successors_match_brute_force():
+    rng = random.Random(5)
+    for seed in range(300):
+        net = random_network(seed, rng.randint(1, 7))
+        for _ in range(20):
+            x = tuple(rng.randint(0, 1) for _ in range(net.n))
+            assert successors(net, x, "general") == oracle_general_successors(net, x)
 
 
 def test_custom_mode_hook():

@@ -97,6 +97,11 @@ def test_xor_gets_bdd():
         assert bdd_evaluate(fn.bdd, state) == evaluate(fn, state)
 
 
+def test_support_is_sorted_tuple():
+    net = parse_bnet("a, c & !b\nb, a | c\nc, 1\nd, (d & !a) | (c & !d)")
+    assert [fn.support for fn in net.functions] == [(1, 2), (0, 2), (), (0, 2, 3)]
+
+
 def test_subsumption_removed():
     net = parse_bnet("a, a | (a & b)\nb, b")
     assert net.functions[0].dnf.clauses == (((0, 1),),)
