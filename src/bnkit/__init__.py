@@ -1,10 +1,11 @@
 """Boolean network analysis toolkit.
 
-Parsing and edition of bnet models, canonical DNF/BDD function forms,
-cube algebra with exact evaluation and closure, native enumeration of
-fixed points and minimal/maximal trap spaces, state transition graphs
-under synchronous, asynchronous, general and most-permissive update
-modes, and a benchmark harness with a random-network generator.
+Parsing and edition of bnet models, functions as canonical DNFs of f and
+(for non-unate f) of not f, cube algebra with exact evaluation and
+closure, native enumeration of fixed points and minimal/maximal trap
+spaces, state transition graphs under synchronous, asynchronous, general
+and most-permissive update modes, and a benchmark harness with a
+random-network generator.
 """
 
 from .cubes import Cube, closure, eval_on_cube, is_trap_space, vertices

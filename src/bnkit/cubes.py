@@ -130,8 +130,10 @@ def vertices(cube, cap=DEFAULT_VERTEX_CAP):
 def eval_mask(fn, values):
     """Bitmask of function values achievable on the cube (bit v = value v).
 
-    The true side reads the DNF; the false side reads the DNF for unate
-    functions and a BDD false-path search otherwise.
+    A value is achievable iff some clause of its DNF is compatible with the
+    cube: the DNF of f gives value 1, and the DNF of not f gives value 0.
+    A unate function has no DNF of not f; it takes value 0 somewhere on the
+    cube iff no clause of f is fully fixed true.
     """
     clauses = fn.dnf.clauses
     if not clauses:
@@ -155,9 +157,14 @@ def eval_mask(fn, values):
                     break
             else:
                 return mask
-        mask |= 1
-    elif fn.bdd.false_reachable(values):
-        mask |= 1
+        return mask | 1
+    for clause in fn.neg.clauses:
+        for comp, val in clause:
+            v = values[comp]
+            if v != FREE and v != val:
+                break
+        else:
+            return mask | 1
     return mask
 
 

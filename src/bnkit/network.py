@@ -1,11 +1,12 @@
-"""Boolean network model: canonical DNF, BDD backing, bnet parsing and export.
+"""Boolean network model: canonical DNFs, bnet parsing and export.
 
 Literals are pairs ``(component_index, value)`` where ``value`` is the
 satisfying value of the literal (1 for a plain variable, 0 for a negated
 one).  A function's canonical DNF is a sorted tuple of sorted clauses with
 no contradictory clause and no subsumed clause.  The constant-false
 function has no clause; the constant-true function has a single empty
-clause.
+clause.  A function whose DNF is not unate also carries the canonical DNF
+of its negation, so that both of its values read from clauses.
 """
 
 from __future__ import annotations
@@ -132,104 +133,20 @@ def _canonical(clause_set):
     return Dnf(tuple(clauses))
 
 
-class Bdd:
-    """Reduced ordered BDD over component indices, declaration order.
-
-    Node ids: 0 is the false leaf, 1 the true leaf; internal nodes live in
-    ``self.nodes`` as ``(component, low, high)`` triples keyed by id.
-    """
-
-    def __init__(self, nodes, root):
-        self.nodes = nodes
-        self.root = root
-
-    def false_reachable(self, values):
-        """True iff a root-to-false path is compatible with the cube.
-
-        ``values`` maps component index to 0, 1, or 2 (free).
-        """
-        stack = [self.root]
-        seen = set()
-        nodes = self.nodes
-        while stack:
-            u = stack.pop()
-            if u == 0:
-                return True
-            if u == 1 or u in seen:
-                continue
-            seen.add(u)
-            comp, lo, hi = nodes[u]
-            v = values[comp]
-            if v != 1:
-                stack.append(lo)
-            if v != 0:
-                stack.append(hi)
-        return False
-
-
-def build_bdd(dnf):
-    """Shannon-expand the DNF into a reduced ordered BDD.
-
-    The variable order is component declaration order; levels for absent
-    components are skipped, which keeps the result reduced.
-    """
-    nodes = {}
-    unique = {}
-    memo = {}
-
-    def mk(comp, lo, hi):
-        if lo == hi:
-            return lo
-        key = (comp, lo, hi)
-        node = unique.get(key)
-        if node is None:
-            node = len(nodes) + 2
-            unique[key] = node
-            nodes[node] = key
-        return node
-
-    def rec(clause_set):
-        if not clause_set:
-            return 0
-        if frozenset() in clause_set:
-            return 1
-        key = clause_set
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        comp = min(c for clause in clause_set for c, _ in clause)
-        children = []
-        for value in (0, 1):
-            cof = set()
-            for clause in clause_set:
-                if (comp, value) in clause:
-                    cof.add(clause - {(comp, value)})
-                elif (comp, 1 - value) in clause:
-                    continue
-                else:
-                    cof.add(clause)
-            children.append(rec(frozenset(cof)))
-        node = mk(comp, children[0], children[1])
-        memo[key] = node
-        return node
-
-    root = rec(frozenset(frozenset(c) for c in dnf.clauses))
-    return Bdd(nodes, root)
-
-
 class NodeFunction:
-    """One component's update function: canonical DNF plus optional BDD.
+    """One component's update function: canonical DNFs of f and of its negation.
 
-    ``support`` is the tuple of the components the function reads, in
-    index order.
+    ``neg``, the canonical DNF of the negation, is kept only when the DNF
+    of f is not unate, and is None otherwise.  ``support`` is the tuple of
+    the components the function reads, in index order.
     """
 
-    __slots__ = ("dnf", "unate", "bdd", "support")
+    __slots__ = ("dnf", "unate", "neg", "support")
 
-    def __init__(self, dnf, unate, bdd, support):
+    def __init__(self, dnf, unate, neg, support):
         self.dnf = dnf
         self.unate = unate
-        self.bdd = bdd
+        self.neg = neg
         self.support = support
 
     def __repr__(self):
@@ -239,13 +156,14 @@ class NodeFunction:
 def normalize(expr, index, clause_cap=DEFAULT_CLAUSE_CAP):
     """Build the canonical NodeFunction for an expression.
 
-    A BDD is attached only when the syntactic unateness test fails.
+    The DNF of the negation is built, under the same clause cap, only when
+    the syntactic unateness test fails.
     """
     dnf = _canonical(_to_clauses(expr, index, True, clause_cap))
     unate = dnf.is_unate()
-    bdd = None if unate else build_bdd(dnf)
+    neg = None if unate else _canonical(_to_clauses(expr, index, False, clause_cap))
     support = tuple(sorted({comp for clause in dnf.clauses for comp, _ in clause}))
-    return NodeFunction(dnf, unate, bdd, support)
+    return NodeFunction(dnf, unate, neg, support)
 
 
 def evaluate(fn, state):

@@ -121,11 +121,15 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
     leaf below them keeps the answer's values on the clause's components.
     Without it the search resumes chronologically after each answer.
 
-    A component none of whose regulators may be FREE is two-valued: its
-    function is evaluated at a single state, so clause reasoning is exact
-    for it whatever the function's form, and its check does not wait for
-    a complete support.  With every domain inside {0, 1} (fixed points)
-    all components are two-valued.
+    A fixed component's check reads clauses whatever its support: value 0
+    needs every clause of f dead, value 1 every clause of not f, or, for a
+    unate f, some clause of f fully true.  An unassigned component's check
+    evaluates f on the cube of the assigned values, and waits for a
+    complete support if the component may be FREE.  A component none of
+    whose regulators may be FREE is two-valued; only the other fixed
+    components steer branching towards completing their support.  With
+    every domain inside {0, 1} (fixed points) all components are
+    two-valued, so branching follows ``_branch_order`` alone.
 
     With ``scope``, only the given components are searched; all others
     must have singleton domains (they are pinned up front) and their
@@ -252,15 +256,17 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
         if vi == FREE:
             return no_implications
         fn = functions[i]
-        if vi != _UNASSIGNED and (fn.unate or two_valued[i]):
-            # For unate functions, and for any function of a two-valued
-            # component, evaluation stays within {1} iff some clause is
-            # fully fixed true, and within {0} iff every clause carries a
-            # fixed-false literal; propagate the last open way of meeting
-            # the target.  A conclusion rests on i and on one contradicting
-            # literal per dead clause (value 1), or on the literals of the
-            # clauses that forced it (value 0).
-            if vi == 1:
+        if vi != _UNASSIGNED:
+            # Every fixed component gets clause reasoning.  Value 0 needs
+            # every clause of f dead (a fixed literal contradicts it), and
+            # value 1 every clause of not f; a clause with one open literal
+            # left forces that literal false.  A conclusion rests on i and
+            # on the literals of the clauses that forced it.  A unate f
+            # has no not f: it stays within {1} iff some clause is fully
+            # fixed true, and the last open clause is propagated; that
+            # conclusion rests on i and on one contradicting literal per
+            # dead clause.
+            if vi == 1 and fn.unate:
                 candidates = []
                 killers = [i]
                 for clause in fn.dnf.clauses:
@@ -285,7 +291,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
                 return no_implications
             implied = []
             why = reasons[i]
-            for clause in fn.dnf.clauses:
+            for clause in (fn.neg if vi else fn.dnf).clauses:
                 forcible = []
                 for comp, val in clause:
                     v = values[comp]
@@ -302,16 +308,10 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
                         implied.append(forcible[0])
             return implied, why
         exact = unassigned_support[i] == 0
-        if vi == _UNASSIGNED and not exact and FREE in allowed[i]:
+        if not exact and FREE in allowed[i]:
             return no_implications
-        # Otherwise a conclusion rests on i and all its assigned regulators.
+        # An unassigned component's value rests on all its assigned regulators.
         mask = eval_mask(fn, uview)
-        if vi != _UNASSIGNED:
-            # masks only shrink as the cube narrows, so a value that is
-            # unachievable now stays unachievable
-            if not mask & (1 << vi) or (mask & (1 << (1 - vi)) and exact):
-                return None, reasons[i] | assigned_reason(fn.support)
-            return no_implications
         if mask == 3:
             # a component that cannot be FREE waits for a determined value
             if not exact:

@@ -121,15 +121,6 @@ def eval_oracle(fn, cube):
     return frozenset(seen)
 
 
-def bdd_evaluate(bdd, state):
-    """Value of a BDD at a binary state, following one root-to-leaf path."""
-    u = bdd.root
-    while u > 1:
-        comp, lo, hi = bdd.nodes[u]
-        u = hi if state[comp] else lo
-    return u
-
-
 def render(expr):
     """Render an AST back to expression text with minimal parentheses."""
 

@@ -220,6 +220,11 @@ def test_exit_code_normalization_error(tmp_path, monkeypatch):
     code, _, err = run("fixpoints", str(path))
     assert code == 2
     assert "model error" in err
+    # f fits the cap, but its negation does not
+    path.write_text("a, a\nb, b\nc, c\nd, d\ne, (a & b) | (c & d) | (e & !a)\n")
+    code, _, err = run("fixpoints", str(path))
+    assert code == 2
+    assert "model error" in err
 
 
 def test_bad_within(model):

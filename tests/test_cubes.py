@@ -164,10 +164,16 @@ def test_trap_intersection_closed():
                 assert is_trap_space(net, both)
 
 
-def test_eval_mask_nonunate_uses_bdd():
+def test_eval_mask_nonunate_uses_neg():
     net = parse_bnet("a, a\nb, b\nv, (a & !b) | (!a & b)")
     fn = net.functions[2]
-    assert fn.bdd is not None
-    # false side on a mixed cube must come from the BDD path search
+    assert fn.neg is not None
+    # false side on a mixed cube must come from the clauses of not f
     assert eval_mask(fn, (2, 2, 2)) == 3
     assert eval_mask(fn, (1, 0, 2)) == 2
+    # f is b, but its DNF is not unate and no clause is fully fixed true
+    # on *1*: only not f (= !b) shows that value 0 is unreachable there
+    net = parse_bnet("a, a\nb, b\nv, (a & b) | (!a & b)")
+    fn = net.functions[2]
+    assert not fn.unate
+    assert eval_mask(fn, (2, 1, 2)) == 2

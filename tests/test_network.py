@@ -9,10 +9,11 @@ from bnkit.network import (
     NetworkError,
     NormalizationError,
     ParseError,
+    _to_clauses,
     evaluate,
     normalize,
 )
-from nettools import bdd_evaluate, random_expression
+from nettools import random_expression
 
 EXAMPLE = "targets, factors\na, !b\nb, !a\nc, !(a & !b) & !c\n"
 
@@ -88,13 +89,20 @@ def test_deep_nesting_is_a_model_error():
             set_function(parse_bnet(EXAMPLE), "a", expr)
 
 
-def test_xor_gets_bdd():
-    net = parse_bnet("a, a\nb, b\nv, (a & !b) | (!a & b)")
+def _neg_value(fn, state):
+    """Value of the DNF of not f at a binary state."""
+    return int(any(all(state[c] == v for c, v in clause) for clause in fn.neg.clauses))
+
+
+def test_xor_gets_neg():
+    net = parse_bnet("a, a\nb, b\nv, (a & !b) | (!a & b)\nw, a & !b")
     fn = net.functions[2]
     assert not fn.unate
-    assert fn.bdd is not None
-    for state in product((0, 1), repeat=3):
-        assert bdd_evaluate(fn.bdd, state) == evaluate(fn, state)
+    assert fn.neg is not None
+    for state in product((0, 1), repeat=4):
+        assert _neg_value(fn, state) == 1 - evaluate(fn, state)
+    assert net.functions[3].unate
+    assert all(f.neg is None for f in net.functions if f.unate)
 
 
 def test_support_is_sorted_tuple():
@@ -125,6 +133,13 @@ def test_normalization_cap():
     text = " & ".join("(a%d | !a%d)" % (i, (i + 1) % 8) for i in range(8))
     with pytest.raises(NormalizationError):
         normalize(parse_expression(text), index, clause_cap=4)
+    # the cap covers not f too: f has 3 clauses and fits, not f has 6
+    index = {name: i for i, name in enumerate("abcde")}
+    expr = parse_expression("(a & b) | (c & d) | (e & !a)")
+    assert len(_to_clauses(expr, index, True, 4)) == 3
+    with pytest.raises(NormalizationError):
+        normalize(expr, index, clause_cap=4)
+    assert len(normalize(expr, index, clause_cap=6).neg.clauses) == 6
 
 
 def test_dnf_well_formed_random():
@@ -151,8 +166,8 @@ def test_dnf_matches_source_truth_table():
         for state in product((0, 1), repeat=len(names)):
             env = dict(zip(names, state))
             assert evaluate(fn, state) == _eval_ast(expr, env)
-            if fn.bdd is not None:
-                assert bdd_evaluate(fn.bdd, state) == evaluate(fn, state)
+            if fn.neg is not None:
+                assert _neg_value(fn, state) == 1 - evaluate(fn, state)
 
 
 def _eval_ast(expr, env):
