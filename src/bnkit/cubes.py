@@ -127,6 +127,18 @@ def vertices(cube, cap=DEFAULT_VERTEX_CAP):
         yield tuple(base)
 
 
+def _some_compatible(clauses, values):
+    """True iff some clause has no fixed literal that contradicts the cube."""
+    for clause in clauses:
+        for comp, val in clause:
+            v = values[comp]
+            if v != FREE and v != val:
+                break
+        else:
+            return True
+    return False
+
+
 def eval_mask(fn, values):
     """Bitmask of function values achievable on the cube (bit v = value v).
 
@@ -140,32 +152,17 @@ def eval_mask(fn, values):
         return 1
     if clauses[0] == ():
         return 2
-    mask = 0
+    mask = 2 if _some_compatible(clauses, values) else 0
+    if not fn.unate:
+        return mask | 1 if _some_compatible(fn.neg.clauses, values) else mask
     for clause in clauses:
         for comp, val in clause:
             v = values[comp]
-            if v != FREE and v != val:
+            if v == FREE or v == 1 - val:
                 break
         else:
-            mask = 2
-            break
-    if fn.unate:
-        for clause in clauses:
-            for comp, val in clause:
-                v = values[comp]
-                if v == FREE or v == 1 - val:
-                    break
-            else:
-                return mask
-        return mask | 1
-    for clause in fn.neg.clauses:
-        for comp, val in clause:
-            v = values[comp]
-            if v != FREE and v != val:
-                break
-        else:
-            return mask | 1
-    return mask
+            return mask
+    return mask | 1
 
 
 def eval_on_cube(fn, cube):

@@ -41,7 +41,10 @@ class NetworkError(ValueError):
 
 
 class NormalizationError(ValueError):
-    """DNF construction exceeded the configured clause cap."""
+    """DNF construction exceeded the configured clause cap.
+
+    For the DNF of a negation the cap bounds the work of the build.
+    """
 
 
 DEFAULT_CLAUSE_CAP = 10**6
@@ -106,6 +109,58 @@ def _to_clauses(expr, index, positive, cap):
     return _prune(union)
 
 
+def _work_cap_error(cap):
+    return NormalizationError("DNF of the negation exceeded the work cap (%d)" % cap)
+
+
+def _negation(dnf, cap):
+    """Clause set of the negation of a DNF: the product of its negated clauses.
+
+    Each clause of f multiplies the clauses so far by its negated literals
+    (Berge's transversal step).  A clause that already holds one of those
+    literals is kept as it is; any other is extended by each literal x in
+    turn, unless it holds the opposite of x.  Only a kept clause that holds
+    x can subsume an extension by x, so only those are tested.  The result
+    reads only the components that the DNF reads.
+
+    Every clause carried through a step, every extension and every
+    subsumption test counts against the cap, which so bounds the time of
+    the build and not only its size.
+    """
+    acc = [frozenset()]
+    work = 0
+    for clause in dnf.clauses:
+        lits = [(comp, 1 - val) for comp, val in clause]
+        work += len(acc)
+        if work > cap:
+            raise _work_cap_error(cap)
+        out = set()
+        holding = {}
+        extend = []
+        for kept in acc:
+            held = [lit for lit in lits if lit in kept]
+            if not held:
+                extend.append(kept)
+                continue
+            out.add(kept)
+            for lit in held:
+                holding.setdefault(lit, []).append(kept)
+        for kept in extend:
+            for lit in lits:
+                comp, val = lit
+                if (comp, 1 - val) in kept:
+                    continue
+                merged = kept | {lit}
+                rivals = holding.get(lit, ())
+                work += 1 + len(rivals)
+                if work > cap:
+                    raise _work_cap_error(cap)
+                if not any(rival <= merged for rival in rivals):
+                    out.add(merged)
+        acc = out
+    return acc
+
+
 @dataclass(frozen=True)
 class Dnf:
     clauses: tuple
@@ -156,12 +211,12 @@ class NodeFunction:
 def normalize(expr, index, clause_cap=DEFAULT_CLAUSE_CAP):
     """Build the canonical NodeFunction for an expression.
 
-    The DNF of the negation is built, under the same clause cap, only when
-    the syntactic unateness test fails.
+    The DNF of the negation is built from the DNF of f, under the same
+    cap, only when the syntactic unateness test fails.
     """
     dnf = _canonical(_to_clauses(expr, index, True, clause_cap))
     unate = dnf.is_unate()
-    neg = None if unate else _canonical(_to_clauses(expr, index, False, clause_cap))
+    neg = None if unate else _canonical(_negation(dnf, clause_cap))
     support = tuple(sorted({comp for clause in dnf.clauses for comp, _ in clause}))
     return NodeFunction(dnf, unate, neg, support)
 

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -133,13 +134,37 @@ def test_normalization_cap():
     text = " & ".join("(a%d | !a%d)" % (i, (i + 1) % 8) for i in range(8))
     with pytest.raises(NormalizationError):
         normalize(parse_expression(text), index, clause_cap=4)
-    # the cap covers not f too: f has 3 clauses and fits, not f has 6
+    # the cap covers not f too: f has 3 clauses and fits; building not f
+    # (6 clauses) takes 17 units of work
     index = {name: i for i, name in enumerate("abcde")}
     expr = parse_expression("(a & b) | (c & d) | (e & !a)")
     assert len(_to_clauses(expr, index, True, 4)) == 3
-    with pytest.raises(NormalizationError):
-        normalize(expr, index, clause_cap=4)
-    assert len(normalize(expr, index, clause_cap=6).neg.clauses) == 6
+    for cap in (4, 16):
+        with pytest.raises(NormalizationError):
+            normalize(expr, index, clause_cap=cap)
+    assert len(normalize(expr, index, clause_cap=17).neg.clauses) == 6
+
+
+def _chain_with_escape(k):
+    """`(a0 & b0) | ... | (a{k-1} & b{k-1}) | (c & !a0)`: k + 1 clauses of f,
+    3 * 2^(k-1) clauses of not f."""
+    names = ["c"] + ["a%d" % i for i in range(k)] + ["b%d" % i for i in range(k)]
+    text = " | ".join("(a%d & b%d)" % (i, i) for i in range(k)) + " | (c & !a0)"
+    return parse_expression(text), {name: i for i, name in enumerate(names)}
+
+
+def test_negation_build_is_bounded_in_time():
+    # not f has 3 * 2^(k-1) clauses, none subsuming another: the build must
+    # not test them pairwise, and the work cap must end a larger one early.
+    expr, index = _chain_with_escape(13)
+    t0 = time.monotonic()
+    assert len(normalize(expr, index).neg.clauses) == 3 * 2**12
+    assert time.monotonic() - t0 < 10.0
+    expr, index = _chain_with_escape(20)
+    t0 = time.monotonic()
+    with pytest.raises(NormalizationError, match="work cap"):
+        normalize(expr, index, clause_cap=20000)
+    assert time.monotonic() - t0 < 10.0
 
 
 def test_dnf_well_formed_random():
@@ -160,9 +185,18 @@ def test_dnf_matches_source_truth_table():
     rng = random.Random(11)
     names = ["v%d" % i for i in range(6)]
     index = {n: i for i, n in enumerate(names)}
-    for _ in range(120):
-        expr = parse_expression(random_expression(rng, names))
+    # contradictory terms drop out of f, so not f must not read them either
+    texts = [
+        "(v0 & !v1) | (!v0 & v1) | (v2 & !v2) | (v3 & !v3)",
+        "(v0 & !v1 & v4 & !v4) | (!v0 & v1) | (v5 & v0 & !v5)",
+    ]
+    texts += [random_expression(rng, names) for _ in range(120)]
+    for text in texts:
+        expr = parse_expression(text)
         fn = normalize(expr, index)
+        if fn.neg is not None:
+            read = {comp for clause in fn.neg.clauses for comp, _ in clause}
+            assert read <= set(fn.support)
         for state in product((0, 1), repeat=len(names)):
             env = dict(zip(names, state))
             assert evaluate(fn, state) == _eval_ast(expr, env)

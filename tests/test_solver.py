@@ -208,6 +208,21 @@ def reverse_branch_order(monkeypatch):
     monkeypatch.setattr(solver, "_branch_order", lambda net: forward(net)[::-1])
 
 
+def test_contradictory_terms_do_not_hide_regulators():
+    # v's contradictory terms (b & !b), (d & !d) drop out of f; not f must
+    # not keep b and d, which v's check is never re-run for.  Branching on
+    # v, a, c first once let (a, c, v) = (0, 0, 1) through as a fixed point.
+    net = parse_bnet(
+        "a, a\nc, c\nv, (a & !c) | (!a & c) | (b & !b) | (d & !d)\nb, b\nd, d\n"
+        "p, v\nq, v\nr, v\ns, v\n"
+    )
+    assert solver._branch_order(net)[:3] == [2, 0, 1]
+    table = image_table(net)
+    assert states(fixed_points(net)) == oracle_fixed_points(net, None, table)
+    assert cubes(minimal_trap_spaces(net)) == oracle_minimal_traps(net, None, table)
+    assert cubes(maximal_trap_spaces(net)) == oracle_maximal_traps(net, None, table)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_branch_order_independence(seed, monkeypatch):
     net = random_network(seed, 5)
