@@ -31,6 +31,16 @@ from the candidate's all-0 vertex, then certification per feedback SCC
 by searching for a strictly smaller trap space; the search for the rest
 starts with its disjointness clause.  The solver is deterministic: it
 draws no random numbers.
+
+Searches for minimal trap spaces prune by the minimality condition: if S
+is subset-minimal and f_i is constant c on S, then i is not free in S,
+since fixing it to c gives a smaller trap space.  Evaluated on the cube
+of the assigned values, which contains every answer below, this makes a
+free component with a constant function a conflict and forces an
+unassigned one to the constant, wherever its domain admits it.  It needs
+every clause of the search to lack literals that admit FREE, as
+disjointness clauses and certification's strictness clause do; see
+``_trap_search``.
 """
 
 from __future__ import annotations
@@ -124,12 +134,33 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
     A fixed component's check reads clauses whatever its support: value 0
     needs every clause of f dead, value 1 every clause of not f, or, for a
     unate f, some clause of f fully true.  An unassigned component's check
-    evaluates f on the cube of the assigned values, and waits for a
-    complete support if the component may be FREE.  A component none of
-    whose regulators may be FREE is two-valued; only the other fixed
-    components steer branching towards completing their support.  With
-    every domain inside {0, 1} (fixed points) all components are
-    two-valued, so branching follows ``_branch_order`` alone.
+    evaluates f on the upper-bound cube (the assigned 0/1 values, FREE
+    elsewhere), and in a FREE-first search waits for a complete support if
+    the component may be FREE.  A component none of whose regulators may
+    be FREE is two-valued; only the other fixed components, bar those that
+    the minimality rule below fixed, steer branching towards completing
+    their support.  With every domain inside {0, 1} (fixed points) all
+    components are two-valued, so branching follows ``_branch_order``
+    alone.
+
+    FREE-last searches (``prefer_free`` false) also apply the minimality
+    rule.  Every answer below the current assignment lies inside the
+    upper-bound cube, so if f_i is constant c there, it is c on every
+    answer.  An answer S with S_i = FREE and c in ``allowed[i]`` is then
+    not minimal: S with i fixed to c is a trap space (f_i is c on it, and
+    every other f_j stays constant on a subcube), and it satisfies every
+    clause S does, because no clause has a literal that admits FREE.
+    ``_disjoint_clause`` and certification's ``strict`` clause have none;
+    this is the precondition of the rule.  So a FREE i is a conflict,
+    resting on i and on its assigned regulators, and an unassigned i is
+    forced to c, resting on its assigned regulators; its closedness then
+    holds on every answer below, so it steers no branching.  The cube
+    only shrinks deeper in the search, and the check runs whenever a
+    regulator is assigned.  Every admitted trap space contains a minimal
+    admitted one, which obeys the rule, so no search loses its answers.
+    With the rule, a component whose support is complete is assigned
+    before the next decision, so a decision has no function value to
+    prefer: it tries 0, 1, then FREE.
 
     With ``scope``, only the given components are searched; all others
     must have singleton domains (they are pinned up front) and their
@@ -138,13 +169,15 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
     The first answer S is subset-minimal among the admitted trap spaces
     when FREE is tried last (``prefer_free`` false), and subset-maximal
     when it is tried first (Castell et al. 1996; Di Rosa, Giunchiglia &
-    Maratea 2010).  Say T is strictly inside S and admitted, and d is the
-    first component on S's trail where they differ.  Every earlier
-    assignment agrees with T, and propagation and backjumping are sound,
-    so d was a decision with S_d = FREE.  T_d was tried before FREE on
-    the same trail, and that subtree holds T, so the search would have
-    answered from it first.  The maximal case is the dual.  Any change to
-    the symbol order must keep FREE last (first) for this to hold.
+    Maratea 2010).  Say T is strictly inside S, admitted and, among such,
+    minimal, so that it obeys the minimality rule; let d be the first
+    component on S's trail where they differ.  Every earlier assignment
+    agrees with T, and propagation (the rule included) and backjumping are
+    sound for T, so d was a decision with S_d = FREE.  T_d was tried
+    before FREE on the same trail, and that subtree holds T, so the search
+    would have answered from it first.  The maximal case is the dual.  Any
+    change to the symbol order must keep FREE last (first) for this to
+    hold.
 
     Later answers under ``block`` are extremal too.  The argument above
     puts a strictly smaller (larger) admitted T in a subtree searched
@@ -163,6 +196,9 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
             for t in net.dependents[i]:
                 two_valued[t] = False
     unassigned_support = [len(fn.support) for fn in functions]
+    # settled[c]: c was fixed by the minimality rule, so f_c is constant at
+    # its value on every answer below and c steers no branching
+    settled = [False] * n
 
     values = [_UNASSIGNED] * n  # symbol or -1
     uview = [FREE] * n  # upper-bound cube: assigned 0/1 else FREE
@@ -232,7 +268,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
 
     trail = []
     # (unassigned regulators, comp) for fixed, not-yet-exact comps that
-    # are not two-valued
+    # are neither two-valued nor settled
     heap = []
     # reasons[c]: the decision levels (bit k for level k) that the current
     # assignment of c rests on; level-0 assignments rest on none
@@ -253,9 +289,16 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
         None on a conflict, and the levels that the conclusion rests on.
         """
         vi = values[i]
-        if vi == FREE:
-            return no_implications
         fn = functions[i]
+        if vi == FREE:
+            # Minimality: f_i constant at an admitted value on the cube
+            # means fixing i gives a smaller admitted trap space.
+            if prefer_free:
+                return no_implications
+            mask = eval_mask(fn, uview)
+            if mask == 3 or (0 if mask == 1 else 1) not in allowed[i]:
+                return no_implications
+            return None, reasons[i] | assigned_reason(fn.support)
         if vi != _UNASSIGNED:
             # Every fixed component gets clause reasoning.  Value 0 needs
             # every clause of f dead (a fixed literal contradicts it), and
@@ -308,7 +351,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
                         implied.append(forcible[0])
             return implied, why
         exact = unassigned_support[i] == 0
-        if not exact and FREE in allowed[i]:
+        if prefer_free and not exact and FREE in allowed[i]:
             return no_implications
         # An unassigned component's value rests on all its assigned regulators.
         mask = eval_mask(fn, uview)
@@ -318,10 +361,15 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
                 return no_implications
             implied = ((i, FREE),)
         else:
-            opts = allowed[i] & {0 if mask == 1 else 1, FREE}
-            if len(opts) > 1:
-                return no_implications
-            implied = ((i, next(iter(opts))),) if opts else None
+            value = 0 if mask == 1 else 1
+            if not prefer_free and value in allowed[i]:
+                settled[i] = True
+                implied = ((i, value),)  # FREE would break minimality
+            else:
+                opts = allowed[i] & {value, FREE}
+                if len(opts) > 1:
+                    return no_implications
+                implied = ((i, next(iter(opts))),) if opts else None
         return implied, assigned_reason(fn.support)
 
     def check_clause(ci):
@@ -348,12 +396,14 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
         reasons[comp] = why
         if sym != FREE:
             uview[comp] = sym
-            if unassigned_support[comp] and not two_valued[comp]:
+            if unassigned_support[comp] and not (two_valued[comp] or settled[comp]):
                 heapq.heappush(heap, (unassigned_support[comp], comp))
         trail.append(comp)
         for t in dependents[comp]:
             unassigned_support[t] -= 1
-            if unassigned_support[t] and uview[t] != FREE and not two_valued[t]:
+            if unassigned_support[t] and uview[t] != FREE and not (
+                two_valued[t] or settled[t]
+            ):
                 heapq.heappush(heap, (unassigned_support[t], t))
             fun_queue.append(t)
         fun_queue.append(comp)
@@ -391,9 +441,10 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
             clauses_unassign(comp, values[comp])
             values[comp] = _UNASSIGNED
             uview[comp] = FREE
+            settled[comp] = False
             for t in dependents[comp]:
                 unassigned_support[t] += 1
-                if uview[t] != FREE and not two_valued[t]:
+                if uview[t] != FREE and not (two_valued[t] or settled[t]):
                     heapq.heappush(heap, (unassigned_support[t], t))
 
     # Level-0: pin singleton domains, then propagate everything once.
@@ -415,7 +466,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
         # fires as early as possible.
         while heap:
             cnt, j = heap[0]
-            if uview[j] == FREE or unassigned_support[j] == 0:
+            if uview[j] == FREE or settled[j] or unassigned_support[j] == 0:
                 heapq.heappop(heap)
                 continue
             if cnt != unassigned_support[j]:
@@ -427,18 +478,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
             heapq.heappop(heap)
         return None
 
-    def symbol_order(var):
-        if prefer_free:
-            syms = [FREE, 0, 1]
-        else:
-            mask = eval_mask(functions[var], uview) if unassigned_support[var] == 0 else 3
-            if mask == 1:
-                syms = [0, 1, FREE]
-            elif mask == 2:
-                syms = [1, 0, FREE]
-            else:
-                syms = [0, 1, FREE]
-        return [s for s in syms if s in allowed[var]]
+    symbols = (FREE, 0, 1) if prefer_free else (0, 1, FREE)
 
     # Conflict-directed backjumping (Prosser 1993): a conflict returns to
     # the highest level it rests on, and the levels skipped hold no
@@ -467,7 +507,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
                 add_clause(clause)
                 conflict = assigned_reason(comp for comp, _ in clause)
         else:
-            syms = symbol_order(var)
+            syms = [s for s in symbols if s in allowed[var]]
             stack.append([var, syms[1:], len(trail), ptr, 0])
             conflict = decide(var, syms[0], len(stack))
         while conflict is not None:
@@ -535,21 +575,42 @@ def _simulate(net, state, steps, clock):
     the components the previous step changed: x_{k+1}[t] can differ from
     x_k[t] only if some regulator of t changed at step k.  A step that
     changes nothing has reached a fixed point, which ends the simulation.
-    The clock is checked before every step.
+
+    Every trajectory ends in a cycle, found by Brent's method: the state
+    x_s saved at step s is compared with x_{s+1}, ..., x_{s+2^j}, and
+    x_{s+2^j} becomes the next saved state.  The comparison is a count of
+    the components where x_k and x_s differ, kept up to date from the
+    changed components, so memory stays one extra state.  Once x_k = x_s
+    the trajectory repeats with period p = k - s, and x_steps is
+    x_{k + (steps - k) mod p}: only that many more steps are taken.  The
+    clock is checked before every step.
     """
     clock.check_now()
     values = list(net.image(state))
     changed = [i for i, (new, old) in enumerate(zip(values, state)) if new != old]
     functions = net.functions
     dependents = net.dependents
-    for _ in range(steps - 1):
-        if not changed:
-            break
+    # saved: x_since, or None once the period is known; diff: the number
+    # of components where the current state and x_since differ
+    saved, since, power, diff = state, 0, 1, len(changed)
+    k, end = 1, steps
+    while k < end and changed:
+        if saved is not None:
+            if not diff:
+                end = k + (end - k) % (k - since)
+                saved = None
+                continue
+            if k - since == power:
+                saved, since, power, diff = tuple(values), k, 2 * power, 0
         clock.check_now()
         woken = {t for i in changed for t in dependents[i]}
         changed = [t for t in woken if evaluate(functions[t], values) != values[t]]
         for t in changed:
             values[t] = 1 - values[t]
+        if saved is not None:
+            for t in changed:
+                diff += 1 if values[t] != saved[t] else -1
+        k += 1
     return tuple(values)
 
 

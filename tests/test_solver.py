@@ -14,7 +14,7 @@ from bnkit import (
     parse_bnet,
     solver,
 )
-from bnkit.cubes import closure, is_trap_space
+from bnkit.cubes import FREE, closure, eval_mask, is_trap_space
 from bnkit.generator import FAMILIES
 from nettools import (
     _maximal_trap_spaces as restart_max,
@@ -282,6 +282,24 @@ def test_first_search_answer_is_extremal(reverse, monkeypatch):
     assert min(answered.values()) > 50
 
 
+def test_free_components_of_minimal_traps_are_unconstrained():
+    # The minimality rule of FREE-last searches: a free component i of a
+    # minimal trap space S has a non-constant f_i on S, else fixing i to
+    # that constant would give a smaller trap space in `within`.
+    rng = random.Random(77)
+    checked = 0
+    for _seed, net in oracle_suite():
+        table = image_table(net)
+        for _ in range(3):
+            within = Cube(tuple(rng.choice((0, 1, 2, 2)) for _ in range(net.n)))
+            for trap in oracle_minimal_traps(net, within, table):
+                for i, v in enumerate(trap.values):
+                    if v == FREE:
+                        assert eval_mask(net.functions[i], trap.values) == 3
+                        checked += 1
+    assert checked > 50
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_solution_invariants(seed):
     net = random_network(seed, 6)
@@ -393,6 +411,26 @@ def test_simulate_equals_repeated_image():
     assert settled > 20 and cycling > 20
 
 
+def test_simulate_stops_at_first_repeated_state(monkeypatch):
+    # From x_2 on the trajectory alternates between two states; Brent's
+    # method sees the repeat at step 5, and the remaining steps follow from
+    # the period instead of being simulated (3 evaluations per step).
+    calls = []
+    evaluate = solver.evaluate
+
+    def counted(fn, state):
+        calls.append(fn)
+        return evaluate(fn, state)
+
+    monkeypatch.setattr(solver, "evaluate", counted)
+    net = parse_bnet("a, b\nb, a\nc, a | c")
+    clock = solver._Deadline(None)
+    for steps, expected in ((60, (0, 1, 1)), (59, (1, 0, 1))):
+        calls.clear()
+        assert solver._simulate(net, (0, 1, 0), steps, clock) == expected
+        assert len(calls) <= 15
+
+
 def test_simulate_polls_the_clock():
     net = random_network(0, 6)
     expired = solver._Deadline(time.monotonic() - 1.0)
@@ -413,6 +451,26 @@ def test_first_min_nested_canalizing_reproducer():
     net = generated("nested-canalizing-unate", 1400888027)
     trap = next(minimal_trap_spaces(net, deadline=time.monotonic() + 10.0))
     assert is_trap_space(net, trap)
+
+
+def test_first_min_certification_tail_reproducer():
+    # certification took 2.2 s before FREE-last searches pruned by the
+    # minimality rule (scale-first seed 21, nested-canalizing-unate-200-14)
+    net = generated("nested-canalizing-unate", 212180447)
+    trap = next(minimal_trap_spaces(net, deadline=time.monotonic() + 10.0))
+    assert is_trap_space(net, trap)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("seed", range(3))
+def test_second_min_at_300_reproducers(family, seed):
+    # The first answer takes about 10 ms; the search for the second timed
+    # out on 4 of these 6 models without the minimality rule.
+    net = parse_bnet(generate_bnet(GenSpec(n=300, family=family, seed=seed)))
+    deadline = time.monotonic() + 10.0
+    traps = list(minimal_trap_spaces(net, limit=2, deadline=deadline))
+    assert traps and all(is_trap_space(net, t) for t in traps)
+    assert len(traps) == 1 or traps[0].intersect(traps[1]) is None
 
 
 def test_certify_full_cube_inhibitor_dominant_reproducer():
