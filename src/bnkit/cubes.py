@@ -110,21 +110,55 @@ class Cube:
         return {name: _SYMBOLS[v] for name, v in zip(names, self.values)}
 
 
+def encode_state(state):
+    """A binary state as an int, component 0 the most significant bit.
+
+    Codes of one length compare as the states do lexicographically.
+    """
+    code = 0
+    for v in state:
+        code = code << 1 | v
+    return code
+
+
+def decode_state(code, n):
+    """The binary state of length n that `encode_state` codes as `code`."""
+    return tuple([code >> k & 1 for k in range(n - 1, -1, -1)])
+
+
+def cube_codes(cube):
+    """(base, free): codes of the components fixed at 1 and of the free ones."""
+    base = free = 0
+    for v in cube.values:
+        base = base << 1 | (v == 1)
+        free = free << 1 | (v == FREE)
+    return base, free
+
+
+def subcube_codes(base, free):
+    """Codes ``base | sub`` for every submask sub of `free`, in increasing order.
+
+    With `base` 0 on the bits of `free`, these are the vertices of a cube.
+    """
+    sub = 0
+    while True:
+        yield base | sub
+        if sub == free:
+            return
+        sub = (sub - free) & free
+
+
 def vertices(cube, cap=DEFAULT_VERTEX_CAP):
     """All vertices of the cube in lexicographic order."""
-    free = [i for i, v in enumerate(cube.values) if v == FREE]
-    if len(free) > cap:
+    base, free = cube_codes(cube)
+    k = free.bit_count()
+    if k > cap:
         raise CubeError(
-            "cube has %d free components, above the cap of %d" % (len(free), cap)
+            "cube has %d free components, above the cap of %d" % (k, cap)
         )
-    base = list(cube.values)
-    for i in free:
-        base[i] = 0
-    k = len(free)
-    for bits in range(1 << k):
-        for pos, i in enumerate(free):
-            base[i] = (bits >> (k - 1 - pos)) & 1
-        yield tuple(base)
+    n = len(cube.values)
+    for code in subcube_codes(base, free):
+        yield decode_state(code, n)
 
 
 def _some_compatible(clauses, values):

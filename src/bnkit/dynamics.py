@@ -1,9 +1,9 @@
 """State transition graphs, reachability, attractors, influence graph.
 
-Boolean update modes work on binary states; the most-permissive mode works
-on extended states over {0, 1, INC, DEC}, where INC/DEC mark components in
-transit upward/downward.  Extended values are rendered '+' (INC) and '-'
-(DEC) in labels.
+Boolean update modes work on binary states, coded internally as ints (see
+`_successor_kernel`); the most-permissive mode works on extended states over
+{0, 1, INC, DEC}, where INC/DEC mark components in transit upward/downward.
+Extended values are rendered '+' (INC) and '-' (DEC) in labels.
 
 Most-permissive reachability is decided exactly, in at most n closure
 computations and with no size limit, without exploring extended states.
@@ -19,7 +19,18 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 
-from .cubes import FREE, Cube, closure, eval_mask, state_to_str, vertices
+from .cubes import (
+    FREE,
+    Cube,
+    closure,
+    cube_codes,
+    decode_state,
+    encode_state,
+    eval_mask,
+    state_to_str,
+    subcube_codes,
+    vertices,
+)
 from .solver import minimal_trap_spaces
 
 INC = 2
@@ -50,30 +61,99 @@ class InfluenceGraph:
     edges: list  # (source name, sign, target name)
 
 
+def _check_mode(mode):
+    if not callable(mode) and mode not in BOOLEAN_MODES:
+        raise DynamicsError("unknown update mode %r" % (mode,))
+
+
+def _successor_kernel(net, mode, restrict=None):
+    """Successors of int-coded states (see `encode_state`) under a Boolean mode.
+
+    Returns a function from the code of a state in `restrict` (the full cube
+    by default) to an iterable of the distinct codes of its successors in
+    `restrict`, the state itself omitted.  Each clause of each DNF becomes a
+    pair (mask, pattern) that holds at s iff ``s & mask == pattern``, so one
+    image costs O(DNF size).  A custom mode sees the decoded state, and each
+    state it returns must be a binary state of `net`.
+    """
+    _check_mode(mode)
+    n = net.n
+    if restrict is None:
+        free = (1 << n) - 1
+    else:
+        _, free = cube_codes(restrict)
+    if callable(mode):
+
+        def custom(s):
+            out = set()
+            for state in mode(net, decode_state(s, n)):
+                t = encode_state(_binary_state(net, state))
+                if (t ^ s) & ~free == 0:
+                    out.add(t)
+            out.discard(s)
+            return out
+
+        return custom
+    functions = []
+    for i, fn in enumerate(net.functions):
+        pairs = []
+        for clause in fn.dnf.clauses:
+            mask = pattern = 0
+            for comp, val in clause:
+                bit = 1 << (n - 1 - comp)
+                mask |= bit
+                if val:
+                    pattern |= bit
+            pairs.append((mask, pattern))
+        functions.append((1 << (n - 1 - i), pairs))
+
+    def disagreement(s):
+        """Bits on which s and its image differ."""
+        image = 0
+        for bit, pairs in functions:
+            for mask, pattern in pairs:
+                if s & mask == pattern:
+                    image |= bit
+                    break
+        return image ^ s
+
+    if mode == "synchronous":
+        # the image, unless it leaves the cube on a fixed component
+        def synchronous(s):
+            d = disagreement(s)
+            return (s ^ d,) if d and d & free == d else ()
+
+        return synchronous
+    if mode == "asynchronous":
+
+        def asynchronous(s):
+            out = []
+            d = disagreement(s) & free
+            while d:
+                low = d & -d
+                out.append(s ^ low)
+                d ^= low
+            return out
+
+        return asynchronous
+
+    # general: any nonempty set of the disagreeing free components at once
+    def general(s):
+        d = disagreement(s) & free
+        return [t for t in subcube_codes(s & ~d, d) if t != s]
+
+    return general
+
+
 def successors(net, state, mode):
     """Successor states under a Boolean update mode (self-loops omitted).
 
     ``mode`` may also be a callable ``(net, state) -> iterable of states``
     implementing a custom update mode.
     """
-    if callable(mode):
-        return {tuple(s) for s in mode(net, state) if tuple(s) != tuple(state)}
-    image = net.image(state)
-    if mode == "synchronous":
-        return set() if image == state else {image}
-    disagree = [i for i in range(net.n) if image[i] != state[i]]
-    if mode == "asynchronous":
-        out = set()
-        for i in disagree:
-            nxt = list(state)
-            nxt[i] = image[i]
-            out.add(tuple(nxt))
-        return out
-    if mode == "general":
-        # any nonempty set of the disagreeing components updates at once
-        span = Cube(tuple(v if v == w else FREE for v, w in zip(state, image)))
-        return set(vertices(span, cap=net.n)) - {tuple(state)}
-    raise DynamicsError("unknown update mode %r" % (mode,))
+    state = _binary_state(net, state)
+    succ = _successor_kernel(net, mode)
+    return {decode_state(t, net.n) for t in succ(encode_state(state))}
 
 
 def mp_successors(net, ext_state):
@@ -122,8 +202,15 @@ def _mp_nodes(restrict):
 
 def build_stg(net, mode, restrict=None):
     """Full state transition graph, nodes sorted lexicographically."""
+    if mode != "mp":
+        _check_mode(mode)
     if restrict is None:
         restrict = Cube.full(net.n)
+    elif len(restrict) != net.n:
+        raise DynamicsError(
+            "restriction cube length mismatch (%d values, n=%d)"
+            % (len(restrict), net.n)
+        )
     if mode == "mp":
         if net.n > MP_STG_CAP:
             raise DynamicsError(
@@ -131,25 +218,32 @@ def build_stg(net, mode, restrict=None):
                 % (net.n, MP_STG_CAP)
             )
         nodes = set(_mp_nodes(restrict))
-        succ = lambda s: mp_successors(net, s)
-        label = ext_state_to_str
-    else:
-        if net.n > STG_CAP:
-            raise DynamicsError(
-                "network too large for an explicit STG (n=%d, cap=%d)"
-                % (net.n, STG_CAP)
-            )
-        nodes = set(vertices(restrict, cap=net.n))
-        succ = lambda s: successors(net, s, mode)
-        label = state_to_str
-    edges = []
-    for state in nodes:
-        for nxt in succ(state):
-            if nxt in nodes:
-                edges.append((label(state), label(nxt)))
+        edges = []
+        for state in nodes:
+            for nxt in mp_successors(net, state):
+                if nxt in nodes:
+                    edges.append((ext_state_to_str(state), ext_state_to_str(nxt)))
+        stg = Stg(mode)
+        stg.nodes = sorted(ext_state_to_str(s) for s in nodes)
+        stg.edges = sorted(edges)
+        return stg
+    if net.n > STG_CAP:
+        raise DynamicsError(
+            "network too large for an explicit STG (n=%d, cap=%d)" % (net.n, STG_CAP)
+        )
+    succ = _successor_kernel(net, mode, restrict)
+    # codes of one length order as their labels do; format(0, "00b") is "0",
+    # but the one state of an empty network is labelled ""
+    fmt = "0%db" % net.n
+    labels = {
+        code: format(code, fmt) if net.n else ""
+        for code in subcube_codes(*cube_codes(restrict))
+    }
     stg = Stg(mode if isinstance(mode, str) else "custom")
-    stg.nodes = sorted(label(s) for s in nodes)
-    stg.edges = sorted(edges)
+    stg.nodes = list(labels.values())
+    for code, label in labels.items():
+        for nxt in sorted(succ(code)):
+            stg.edges.append((label, labels[nxt]))
     return stg
 
 
@@ -218,21 +312,25 @@ def reachability(net, x, y, mode="mp"):
     Boolean modes search the explicit state space, so like `build_stg`
     they refuse networks with more than ``STG_CAP`` components.
     """
+    if mode != "mp":
+        _check_mode(mode)
     x, y = _binary_state(net, x), _binary_state(net, y)
-    if mode != "mp" and net.n > STG_CAP:
+    if mode == "mp":
+        return x == y or _mp_reachable(net, x, y)
+    if net.n > STG_CAP:
         raise DynamicsError(
             "network too large for explicit-state reachability (n=%d, cap=%d)"
             % (net.n, STG_CAP)
         )
-    if x == y:
+    start, goal = encode_state(x), encode_state(y)
+    if start == goal:
         return True
-    if mode == "mp":
-        return _mp_reachable(net, x, y)
-    seen = {x}
-    queue = deque([x])
+    succ = _successor_kernel(net, mode)
+    seen = {start}
+    queue = deque([start])
     while queue:
-        for nxt in successors(net, queue.popleft(), mode):
-            if nxt == y:
+        for nxt in succ(queue.popleft()):
+            if nxt == goal:
                 return True
             if nxt not in seen:
                 seen.add(nxt)

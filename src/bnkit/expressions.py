@@ -52,107 +52,110 @@ class Or:
 
 Expression = Var | Const | Not | And | Or
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[!&|()]|\s+|.")
+_TOKEN_RE = re.compile(r"([A-Za-z0-9_]+)|([!&|()])|(\s+)|(.)")
+# operator symbols and words, by the symbol the parser dispatches on
+_OPERATORS = {"!": "!", "not": "!", "&": "&", "and": "&", "|": "|", "or": "|"}
 
 
 def _tokenize(text):
+    """(token, kind, line, column) tuples, ended by a None token.
+
+    kind is "!", "&" or "|" for an operator symbol or word, the token for a
+    parenthesis, and None for an identifier or a constant.
+    """
     tokens = []
     line, col = 1, 1
     for match in _TOKEN_RE.finditer(text):
         tok = match.group(0)
-        if not tok.isspace():
-            if tok not in "!&|()" and not re.fullmatch(r"[A-Za-z0-9_]+", tok):
-                raise ExprSyntaxError("unexpected character %r" % tok, line, col)
-            tokens.append((tok, line, col))
-        newlines = tok.count("\n")
+        group = match.lastindex
+        if group == 1:
+            tokens.append((tok, _OPERATORS.get(tok.lower()), line, col))
+        elif group == 2:
+            tokens.append((tok, _OPERATORS.get(tok, tok), line, col))
+        elif group == 4:
+            raise ExprSyntaxError("unexpected character %r" % tok, line, col)
+        newlines = tok.count("\n") if group == 3 else 0
         if newlines:
             line += newlines
             col = len(tok) - tok.rfind("\n")
         else:
             col += len(tok)
-    tokens.append((None, line, col))
+    tokens.append((None, None, line, col))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _atom(tok, line, col):
+    """A constant or identifier token; anything else is a syntax error."""
+    if tok is None:
+        raise ExprSyntaxError("unexpected end of expression", line, col)
+    if tok in "!&|)":
+        raise ExprSyntaxError("unexpected token %r" % tok, line, col)
+    low = tok.lower()
+    if low in ("1", "true"):
+        return Const(True)
+    if low in ("0", "false"):
+        return Const(False)
+    if low in ("and", "or", "not"):
+        raise ExprSyntaxError("reserved word %r used as identifier" % tok, line, col)
+    return Var(tok)
 
-    def peek(self):
-        return self.tokens[self.pos][0]
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _parse(tokens):
+    """Recursive descent on an explicit stack, so nesting depth is unbounded.
 
-    def error(self, message):
-        _, line, col = self.tokens[self.pos]
-        raise ExprSyntaxError(message, line, col)
-
-    def parse(self):
-        expr = self.disjunction()
-        if self.peek() is not None:
-            self.error("unexpected token %r" % self.peek())
-        return expr
-
-    def disjunction(self):
-        args = [self.conjunction()]
+    ``disjunction := conjunction (| conjunction)*``,
+    ``conjunction := unary (& unary)*``, ``unary := ! unary | atom`` and
+    ``atom := ( disjunction ) | constant | identifier``.  The state of the
+    innermost open group is the arguments of its disjunction so far, those
+    of its current conjunction, and the negations read before its next
+    atom; an open parenthesis pushes the enclosing group's state.
+    """
+    pos = 0
+    stack = []
+    ors, ands, nots = [], [], 0
+    while True:
+        # an operand: negations, then an open parenthesis or an atom
+        tok, kind, line, col = tokens[pos]
+        pos += 1
+        if kind == "!":
+            nots += 1
+            continue
+        if kind == "(":
+            stack.append((ors, ands, nots))
+            ors, ands, nots = [], [], 0
+            continue
+        expr = _atom(tok, line, col)
         while True:
-            tok = self.peek()
-            if tok == "|" or (tok is not None and tok.lower() == "or"):
-                self.next()
-                args.append(self.conjunction())
-            else:
+            for _ in range(nots):
+                expr = Not(expr)
+            ands.append(expr)
+            # an operator, or the end of the innermost group
+            tok, kind, line, col = tokens[pos]
+            if kind == "&":
+                pos += 1
                 break
-        return args[0] if len(args) == 1 else Or(tuple(args))
-
-    def conjunction(self):
-        args = [self.unary()]
-        while True:
-            tok = self.peek()
-            if tok == "&" or (tok is not None and tok.lower() == "and"):
-                self.next()
-                args.append(self.unary())
-            else:
+            ors.append(ands[0] if len(ands) == 1 else And(tuple(ands)))
+            ands = []
+            if kind == "|":
+                pos += 1
                 break
-        return args[0] if len(args) == 1 else And(tuple(args))
-
-    def unary(self):
-        tok = self.peek()
-        if tok == "!" or (tok is not None and tok.lower() == "not"):
-            self.next()
-            return Not(self.unary())
-        return self.atom()
-
-    def atom(self):
-        tok, line, col = self.next()
-        if tok == "(":
-            expr = self.disjunction()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.next()
-            return expr
-        if tok is None:
-            raise ExprSyntaxError("unexpected end of expression", line, col)
-        if tok in "!&|)":
-            raise ExprSyntaxError("unexpected token %r" % tok, line, col)
-        low = tok.lower()
-        if low in ("1", "true"):
-            return Const(True)
-        if low in ("0", "false"):
-            return Const(False)
-        if low in ("and", "or", "not"):
-            raise ExprSyntaxError("reserved word %r used as identifier" % tok, line, col)
-        return Var(tok)
+            expr = ors[0] if len(ors) == 1 else Or(tuple(ors))
+            if not stack:
+                if tok is not None:
+                    raise ExprSyntaxError("unexpected token %r" % tok, line, col)
+                return expr
+            if tok != ")":
+                raise ExprSyntaxError("expected ')'", line, col)
+            pos += 1
+            ors, ands, nots = stack.pop()
+        nots = 0
 
 
 def parse_expression(text):
     """Parse expression text into an AST.  No simplification is performed."""
     if not text or text.isspace():
         raise ExprSyntaxError("empty expression", 1, 1)
-    return _Parser(text).parse()
+    return _parse(_tokenize(text))
 
 
 def variables(expr):

@@ -84,19 +84,42 @@ def _product(left, right, cap):
 
 
 def _to_clauses(expr, index, positive, cap):
-    """Clause sets of expr (positive=True) or its negation (positive=False)."""
-    if isinstance(expr, Var):
-        val = 1 if positive else 0
-        return frozenset([frozenset([(index[expr.name], val)])])
-    if isinstance(expr, Const):
-        return _TRUE if expr.value == positive else _FALSE
-    if isinstance(expr, Not):
-        return _to_clauses(expr.arg, index, not positive, cap)
+    """Clause sets of expr (positive=True) or its negation (positive=False).
+
+    A depth-first walk on an explicit stack, so nesting depth is unbounded.
+    Each open And or Or holds its arguments' clause sets so far and an
+    iterator over the rest; it is combined once the iterator runs out.
+    """
+    frames = []
+    node = expr
+    while True:
+        while isinstance(node, Not):
+            node, positive = node.arg, not positive
+        if isinstance(node, Var):
+            result = frozenset([frozenset([(index[node.name], 1 if positive else 0)])])
+        elif isinstance(node, Const):
+            result = _TRUE if node.value == positive else _FALSE
+        else:
+            frames.append((node, positive, [], iter(node.args)))
+            result = None
+        while frames:
+            top, positive, parts, args = frames[-1]
+            if result is not None:
+                parts.append(result)
+            node = next(args, None)
+            if node is not None:
+                break
+            frames.pop()
+            result = _combine(top, positive, parts, cap)
+        else:
+            return result
+
+
+def _combine(node, positive, parts, cap):
+    """Clause set of an And or Or (negated unless positive) from its arguments'."""
     # And distributes over clause products when positive, unions when negated;
     # Or is the dual.
-    is_product = isinstance(expr, And) == positive
-    parts = [_to_clauses(arg, index, positive, cap) for arg in expr.args]
-    if is_product:
+    if isinstance(node, And) == positive:
         acc = _TRUE
         for part in parts:
             acc = _product(acc, part, cap)
@@ -279,9 +302,6 @@ class BooleanNetwork:
         return "BooleanNetwork(%d components)" % self.n
 
 
-# The expression parser and the DNF builder recurse once per nesting level.
-_TOO_DEEP = "expression nested too deeply"
-
 # Words the expression grammar reads as operators or constants.
 _RESERVED_NAMES = RESERVED | {"0", "1"}
 
@@ -342,8 +362,6 @@ def parse_bnet(text, clause_cap=DEFAULT_CLAUSE_CAP):
             components.append((name, normalize(expr, index, clause_cap)))
         except ExprSyntaxError as exc:
             raise ParseError(str(exc), lineno) from exc
-        except RecursionError:
-            raise ParseError(_TOO_DEEP, lineno) from None
     return BooleanNetwork(components)
 
 
@@ -356,14 +374,11 @@ def set_function(net, name, expr_text, clause_cap=DEFAULT_CLAUSE_CAP):
             raise NetworkError(problem)
         names.append(name)
     index = {n: i for i, n in enumerate(names)}
-    try:
-        expr = parse_expression(expr_text)
-        undeclared = _first_undeclared(expr, index)
-        if undeclared is not None:
-            raise NetworkError("undeclared component %r referenced" % undeclared)
-        fn = normalize(expr, index, clause_cap)
-    except RecursionError:
-        raise NetworkError(_TOO_DEEP) from None
+    expr = parse_expression(expr_text)
+    undeclared = _first_undeclared(expr, index)
+    if undeclared is not None:
+        raise NetworkError("undeclared component %r referenced" % undeclared)
+    fn = normalize(expr, index, clause_cap)
     components = []
     for existing in net.names:
         if existing == name:

@@ -168,10 +168,14 @@ def test_exit_code_parse_error(tmp_path):
     assert "model error" in err
     code, _, _ = run("fixpoints", str(tmp_path / "missing.bnet"))
     assert code == 2
-    path.write_text("a, %sa\n" % ("!" * 3000))
-    code, _, err = run("fixpoints", str(path))
-    assert code == 2
-    assert "nested too deeply" in err
+
+
+def test_deeply_nested_model_is_read(tmp_path):
+    path = tmp_path / "deep.bnet"
+    path.write_text("a, %sa\nb, %sb%s\n" % ("!" * 3000, "(" * 3000, ")" * 3000))
+    code, out, err = run("fixpoints", str(path))
+    assert (code, err) == (0, "")
+    assert sorted(out.splitlines()) == ["00", "01", "10", "11"]
 
 
 def test_exit_code_undecodable_model(tmp_path):

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from collections import deque
 from itertools import product
 
 import pytest
@@ -26,7 +29,12 @@ from bnkit.dynamics import (
     stg_to_dot,
     stg_to_json_obj,
 )
-from nettools import _mp_reachable_states, oracle_general_successors, random_network
+from nettools import (
+    _mp_reachable_states,
+    image_table,
+    oracle_general_successors,
+    random_network,
+)
 
 EXAMPLE = "targets, factors\na, !b\nb, !a\nc, !(a & !b) & !c\n"
 
@@ -147,6 +155,137 @@ def test_stg_export_stable(example):
     obj = stg_to_json_obj(stg)
     assert obj["mode"] == "asynchronous"
     assert len(obj["nodes"]) == 8
+
+
+def _rotate_or_complement(net, state):
+    """A custom update mode: the state rotated left by one, and its complement."""
+    state = tuple(state)
+    return [state[1:] + state[:1], tuple(1 - v for v in state)]
+
+
+MODES = ("synchronous", "asynchronous", "general", _rotate_or_complement)
+
+
+def _stg_corpus():
+    """(net, mode, restrict): n = 0..7 and constant nets, every mode, with and
+    without a random restriction cube."""
+    rng = random.Random(2024)
+    nets = [parse_bnet(""), parse_bnet("a, 1"), parse_bnet("a, 1\nb, 0\nc, c\nd, !d")]
+    nets += [random_network(seed, seed % 8) for seed in range(40)]
+    cases = []
+    for net in nets:
+        for mode in MODES:
+            cases.append((net, mode, None))
+            cube = Cube(tuple(rng.choice((0, 1, 2, 2)) for _ in range(net.n)))
+            cases.append((net, mode, cube))
+    return cases
+
+
+def _reference_successors(net, table, x, mode):
+    """Successors of x read off the synchronous image table."""
+    fx = table[x]
+    if mode == "synchronous":
+        out = {fx}
+    elif mode == "asynchronous":
+        out = {x[:i] + (fx[i],) + x[i + 1 :] for i in range(net.n)}
+    elif mode == "general":
+        out = {
+            y
+            for y in product((0, 1), repeat=net.n)
+            if all(v in (a, b) for v, a, b in zip(y, x, fx))
+        }
+    else:
+        out = {tuple(y) for y in mode(net, x)}
+    out.discard(x)
+    return out
+
+
+def test_stg_matches_image_table_reference():
+    for net, mode, restrict in _stg_corpus():
+        cube = restrict or Cube.full(net.n)
+        table = image_table(net)
+        nodes = [x for x in product((0, 1), repeat=net.n) if cube.contains(x)]
+        edges = sorted(
+            (state_to_str(x), state_to_str(y))
+            for x in nodes
+            for y in _reference_successors(net, table, x, mode)
+            if cube.contains(y)
+        )
+        stg = build_stg(net, mode, restrict)
+        assert stg.nodes == [state_to_str(x) for x in nodes]
+        assert stg.edges == edges
+        assert stg.mode == (mode if isinstance(mode, str) else "custom")
+
+
+def test_successors_match_image_table_reference():
+    for seed in range(40):
+        net = random_network(seed, seed % 8)
+        table = image_table(net)
+        for mode in MODES:
+            for x in table:
+                assert successors(net, x, mode) == _reference_successors(
+                    net, table, x, mode
+                )
+
+
+def test_boolean_reachability_matches_reference_bfs():
+    rng = random.Random(11)
+    for seed in range(40):
+        net = random_network(seed, seed % 8)
+        table = image_table(net)
+        states = list(table)
+        for mode in MODES:
+            for x in rng.sample(states, min(len(states), 6)):
+                reach = {x}
+                queue = deque([x])
+                while queue:
+                    for y in _reference_successors(net, table, queue.popleft(), mode):
+                        if y not in reach:
+                            reach.add(y)
+                            queue.append(y)
+                targets = rng.sample(states, min(len(states), 4))
+                targets.append(rng.choice(sorted(reach)))
+                for y in targets:
+                    assert reachability(net, x, y, mode) == (y in reach)
+
+
+def test_stg_output_is_byte_identical_to_recorded_digest():
+    # sha256 of the dot and JSON renderings of every corpus STG, recorded
+    # with the tuple-state implementation that the int-coded kernel replaced
+    digest = hashlib.sha256()
+    for net, mode, restrict in _stg_corpus():
+        stg = build_stg(net, mode, restrict)
+        digest.update(stg_to_dot(stg).encode())
+        digest.update(json.dumps(stg_to_json_obj(stg)).encode())
+    assert digest.hexdigest() == (
+        "2ca5abd9943ec280ba1dbcbb566d0b4304cfbd6b294fe2156401d0ada67a725f"
+    )
+
+
+def test_unknown_mode_is_refused_before_any_shortcut(example):
+    x = (0, 0, 0)
+    big = random_network(0, STG_CAP + 1)
+    with pytest.raises(DynamicsError, match="unknown update mode"):
+        reachability(example, x, x, "foo")
+    with pytest.raises(DynamicsError, match="unknown update mode"):
+        reachability(big, (0,) * big.n, (0,) * big.n, "foo")
+    for net in (example, big):
+        with pytest.raises(DynamicsError, match="unknown update mode"):
+            build_stg(net, "foo")
+    with pytest.raises(DynamicsError, match="unknown update mode"):
+        successors(example, x, "mp")
+
+
+@pytest.mark.parametrize("bad", [(1,), (0, 1, 0), (2, 0), (0, INC)])
+def test_custom_mode_states_are_validated(bad):
+    net = parse_bnet("a, 1\nb, 1")
+    mode = lambda bn, s: [bad]
+    with pytest.raises(DynamicsError):
+        successors(net, (0, 0), mode)
+    with pytest.raises(DynamicsError):
+        build_stg(net, mode)
+    with pytest.raises(DynamicsError):
+        reachability(net, (0, 0), (1, 1), mode)
 
 
 def test_reachability_paper_verdicts(example):

@@ -64,3 +64,44 @@ def test_render_round_trip():
     for text in ["a | !(c & d)", "(a | b) & c", "!(!a)", "1", "a & b & !c"]:
         expr = parse_expression(text)
         assert parse_expression(render(expr)) == expr
+
+
+def _depth(expr, kind):
+    """Number of nested `kind` nodes on the path of first arguments."""
+    depth = 0
+    while isinstance(expr, kind):
+        depth += 1
+        expr = expr.arg if kind is Not else expr.args[0]
+    return depth, expr
+
+
+def test_deep_nesting():
+    # explicit-stack parsing: depth is bounded by the input, not the interpreter
+    assert parse_expression("(" * 5000 + "a" + ")" * 5000) == Var("a")
+    assert _depth(parse_expression("!" * 5000 + "a"), Not) == (5000, Var("a"))
+    assert _depth(parse_expression("not (" * 3000 + "a" + ")" * 3000), Not) == (
+        3000,
+        Var("a"),
+    )
+    expr = parse_expression("(a | " * 2000 + "b" + ")" * 2000)
+    assert _depth(expr, Or) == (1, Var("a"))
+    inner = expr
+    for _ in range(2000):
+        assert isinstance(inner, Or) and inner.args[0] == Var("a")
+        inner = inner.args[1]
+    assert inner == Var("b")
+
+
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("(" * 3000 + "a", "expected ')'", 3002),
+        ("(" * 3000 + "a" + ")" * 3001, "unexpected token ')'", 6002),
+        ("!" * 3000, "unexpected end of expression", 3001),
+        ("(" * 3000 + "a &)", "unexpected token ')'", 3004),
+    ],
+)
+def test_deep_nesting_error_positions(text, message, column):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expression(text)
+    assert str(exc.value) == "%s (line 1, column %d)" % (message, column)

@@ -80,14 +80,37 @@ def test_constant_and_reserved_names_rejected():
             set_function(parse_bnet(EXAMPLE), name, "a")
 
 
-def test_deep_nesting_is_a_model_error():
-    for expr in ("(" * 3000 + "a" + ")" * 3000, "!" * 3000 + "a"):
-        with pytest.raises(ParseError) as exc:
-            parse_bnet("a, a\nb, %s\n" % expr)
-        assert exc.value.line == 2
-        assert "nested too deeply" in str(exc.value)
-        with pytest.raises(NetworkError, match="nested too deeply"):
-            set_function(parse_bnet(EXAMPLE), "a", expr)
+def _nested_canalizing_chain(k):
+    """A model whose last line nests k regulators one group each."""
+    names = ["r%d" % i for i in range(k)]
+    expr = names[-1]
+    for i in range(k - 2, -1, -1):
+        lit = ("!" if i % 3 == 0 else "") + names[i]
+        expr = "%s %s (%s)" % (lit, "&" if i % 2 else "|", expr)
+    return "".join("%s, %s\n" % (name, name) for name in names) + "x, %s\n" % expr
+
+
+def test_deep_nesting_parses():
+    # the parser and the DNF builder keep explicit stacks: depth is unbounded
+    for depth in (260, 3000):
+        net = parse_bnet("a, a\nb, %sa%s\n" % ("(" * depth, ")" * depth))
+        assert net.functions[1].dnf.clauses == (((0, 1),),)
+    for depth in (1000, 3000):
+        net = parse_bnet("a, a\nb, %sa\n" % ("!" * depth))
+        assert net.functions[1].dnf.clauses == (((0, 1),),)
+        net = set_function(parse_bnet(EXAMPLE), "a", "!" * (depth + 1) + "b")
+        assert net.functions[0].dnf.clauses == (((1, 0),),)
+    net = parse_bnet(_nested_canalizing_chain(400))
+    fn = net.functions[-1]
+    assert fn.support == tuple(range(400))
+    rng = random.Random(3)
+    for _ in range(50):
+        state = [rng.randint(0, 1) for _ in range(net.n)]
+        value = state[399]
+        for i in range(398, -1, -1):
+            lit = 1 - state[i] if i % 3 == 0 else state[i]
+            value = lit & value if i % 2 else lit | value
+        assert evaluate(fn, state) == value
 
 
 def _neg_value(fn, state):
