@@ -13,6 +13,7 @@ from dataclasses import dataclass
 FREE = 2
 
 _SYMBOLS = "01*"
+_VALUES = frozenset((0, 1, FREE))
 _MASK_TO_VALUE = {1: 0, 2: 1, 3: FREE}
 _VALUE_TO_MASK = (1, 2, 3)
 
@@ -26,6 +27,10 @@ class CubeError(ValueError):
 @dataclass(frozen=True)
 class Cube:
     values: tuple
+
+    def __post_init__(self):
+        if not _VALUES.issuperset(self.values):
+            raise CubeError("cube values must be 0, 1 or FREE (%d)" % FREE)
 
     @classmethod
     def full(cls, n):
@@ -247,10 +252,6 @@ def is_trap_space(net, cube):
     return True
 
 
-def state_to_str(state):
-    return "".join(str(v) for v in state)
-
-
 def parse_state(text, n):
     text = text.strip()
     if len(text) != n or any(ch not in "01" for ch in text):
@@ -267,6 +268,5 @@ __all__ = [
     "eval_on_cube",
     "closure",
     "is_trap_space",
-    "state_to_str",
     "parse_state",
 ]

@@ -5,6 +5,10 @@ Boolean update modes work on binary states, coded internally as ints (see
 {0, 1, INC, DEC}, where INC/DEC mark components in transit upward/downward.
 Extended values are rendered '+' (INC) and '-' (DEC) in labels.
 
+Every explicit graph (`build_stg` in each mode, `mp_projected_stg`) comes out
+of one edge loop, `_graph`, over nodes that sort as their labels do; each
+graph's size cap and restriction are checked by `_explicit`.
+
 Most-permissive reachability is decided exactly, in at most n closure
 computations and with no size limit, without exploring extended states.
 A component in transit reads as free and may stay in transit, and a larger
@@ -16,7 +20,7 @@ they started, and settling the rest.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .cubes import (
@@ -27,9 +31,7 @@ from .cubes import (
     decode_state,
     encode_state,
     eval_mask,
-    state_to_str,
     subcube_codes,
-    vertices,
 )
 from .solver import minimal_trap_spaces
 
@@ -40,8 +42,7 @@ _EXT_SYMBOLS = "01+-"
 
 BOOLEAN_MODES = ("synchronous", "asynchronous", "general")
 STG_CAP = 20
-MP_STG_CAP = 12
-MP_PROJECTED_STG_CAP = 10
+MP_STG_CAP = 10
 
 
 class DynamicsError(ValueError):
@@ -51,8 +52,8 @@ class DynamicsError(ValueError):
 @dataclass
 class Stg:
     mode: str
-    nodes: list = field(default_factory=list)
-    edges: list = field(default_factory=list)
+    nodes: list
+    edges: list
 
 
 @dataclass
@@ -66,22 +67,19 @@ def _check_mode(mode):
         raise DynamicsError("unknown update mode %r" % (mode,))
 
 
-def _successor_kernel(net, mode, restrict=None):
+def _successor_kernel(net, mode, restrict):
     """Successors of int-coded states (see `encode_state`) under a Boolean mode.
 
-    Returns a function from the code of a state in `restrict` (the full cube
-    by default) to an iterable of the distinct codes of its successors in
-    `restrict`, the state itself omitted.  Each clause of each DNF becomes a
-    pair (mask, pattern) that holds at s iff ``s & mask == pattern``, so one
-    image costs O(DNF size).  A custom mode sees the decoded state, and each
-    state it returns must be a binary state of `net`.
+    Returns a function from the code of a state in the cube `restrict` to an
+    iterable of the distinct codes of its successors in `restrict`, the state
+    itself omitted.  Each clause of each DNF becomes a pair (mask, pattern)
+    that holds at s iff ``s & mask == pattern``, so one image costs O(DNF
+    size).  A custom mode sees the decoded state, and each state it returns
+    must be a binary state of `net`.
     """
     _check_mode(mode)
     n = net.n
-    if restrict is None:
-        free = (1 << n) - 1
-    else:
-        _, free = cube_codes(restrict)
+    _, free = cube_codes(restrict)
     if callable(mode):
 
         def custom(s):
@@ -152,38 +150,26 @@ def successors(net, state, mode):
     implementing a custom update mode.
     """
     state = _binary_state(net, state)
-    succ = _successor_kernel(net, mode)
+    succ = _successor_kernel(net, mode, Cube.full(net.n))
     return {decode_state(t, net.n) for t in succ(encode_state(state))}
 
 
 def mp_successors(net, ext_state):
     """Most-permissive single-component rewrites of an extended state."""
-    values = tuple(v if v < INC else FREE for v in ext_state)
+    state = tuple(ext_state)
+    values = tuple(v if v < INC else FREE for v in state)
     out = set()
-    for i, v in enumerate(ext_state):
-        if v == INC:
-            nxt = list(ext_state)
-            nxt[i] = 1
-            out.add(tuple(nxt))
-        elif v == DEC:
-            nxt = list(ext_state)
-            nxt[i] = 0
-            out.add(tuple(nxt))
-        mask = None
-        if v in (0, DEC):
-            mask = eval_mask(net.functions[i], values)
-            if mask & 2:
-                nxt = list(ext_state)
-                nxt[i] = INC
-                out.add(tuple(nxt))
-        if v in (1, INC):
-            if mask is None:
-                mask = eval_mask(net.functions[i], values)
-            if mask & 1:
-                nxt = list(ext_state)
-                nxt[i] = DEC
-                out.add(tuple(nxt))
-    out.discard(tuple(ext_state))
+    for i, v in enumerate(state):
+        # a component in transit may settle, and any component may set out
+        # for a value its function takes on the cube of the state
+        mask = eval_mask(net.functions[i], values)
+        moves = [1] if v == INC else [0] if v == DEC else []
+        if mask & 2 and v in (0, DEC):
+            moves.append(INC)
+        if mask & 1 and v in (1, INC):
+            moves.append(DEC)
+        for w in moves:
+            out.add(state[:i] + (w,) + state[i + 1 :])
     return out
 
 
@@ -192,18 +178,16 @@ def ext_state_to_str(ext_state):
 
 
 def _mp_nodes(restrict):
-    # keep extended states whose cube projection (components in transit
-    # read as free) meets the restriction
+    """Extended states whose cube projection (components in transit read as
+    free) meets the restriction, in label order: '+' < '-' < '0' < '1'."""
     domains = [
-        (0, 1, INC, DEC) if v == FREE else (v, INC, DEC) for v in restrict.values
+        (INC, DEC, 0, 1) if v == FREE else (INC, DEC, v) for v in restrict.values
     ]
     return product(*domains)
 
 
-def build_stg(net, mode, restrict=None):
-    """Full state transition graph, nodes sorted lexicographically."""
-    if mode != "mp":
-        _check_mode(mode)
+def _explicit(net, cap, what, restrict=None):
+    """`restrict`, the full cube by default, once `net` fits an explicit `what`."""
     if restrict is None:
         restrict = Cube.full(net.n)
     elif len(restrict) != net.n:
@@ -211,40 +195,55 @@ def build_stg(net, mode, restrict=None):
             "restriction cube length mismatch (%d values, n=%d)"
             % (len(restrict), net.n)
         )
-    if mode == "mp":
-        if net.n > MP_STG_CAP:
-            raise DynamicsError(
-                "network too large for an explicit mp STG (n=%d, cap=%d)"
-                % (net.n, MP_STG_CAP)
-            )
-        nodes = set(_mp_nodes(restrict))
-        edges = []
-        for state in nodes:
-            for nxt in mp_successors(net, state):
-                if nxt in nodes:
-                    edges.append((ext_state_to_str(state), ext_state_to_str(nxt)))
-        stg = Stg(mode)
-        stg.nodes = sorted(ext_state_to_str(s) for s in nodes)
-        stg.edges = sorted(edges)
-        return stg
-    if net.n > STG_CAP:
+    if net.n > cap:
         raise DynamicsError(
-            "network too large for an explicit STG (n=%d, cap=%d)" % (net.n, STG_CAP)
+            "network too large for %s (n=%d, cap=%d)" % (what, net.n, cap)
         )
-    succ = _successor_kernel(net, mode, restrict)
+    return restrict
+
+
+def _code_labels(n, restrict):
+    """Label of each binary state of `restrict` by its code, in label order."""
     # codes of one length order as their labels do; format(0, "00b") is "0",
     # but the one state of an empty network is labelled ""
-    fmt = "0%db" % net.n
-    labels = {
-        code: format(code, fmt) if net.n else ""
+    fmt = "0%db" % n
+    return {
+        code: format(code, fmt) if n else ""
         for code in subcube_codes(*cube_codes(restrict))
     }
-    stg = Stg(mode if isinstance(mode, str) else "custom")
-    stg.nodes = list(labels.values())
-    for code, label in labels.items():
-        for nxt in sorted(succ(code)):
-            stg.edges.append((label, labels[nxt]))
-    return stg
+
+
+def _graph(mode, labels, succ):
+    """The STG with the nodes of `labels`, an ordered map from node to label,
+    and an edge to each node of `succ(node)`.  Nodes sort as their labels do,
+    so edges come out in label order too."""
+    edges = []
+    for node, label in labels.items():
+        for nxt in sorted(succ(node)):
+            edges.append((label, labels[nxt]))
+    return Stg(mode, list(labels.values()), edges)
+
+
+def build_stg(net, mode, restrict=None):
+    """Full state transition graph, nodes sorted lexicographically."""
+    if mode == "mp":
+        restrict = _explicit(net, MP_STG_CAP, "an explicit mp STG", restrict)
+        # extended states are numbered in label order
+        states = list(_mp_nodes(restrict))
+        number = {state: i for i, state in enumerate(states)}
+
+        def mp_succ(i):
+            found = map(number.get, mp_successors(net, states[i]))
+            return [j for j in found if j is not None]
+
+        return _graph("mp", dict(enumerate(map(ext_state_to_str, states))), mp_succ)
+    _check_mode(mode)
+    restrict = _explicit(net, STG_CAP, "an explicit STG", restrict)
+    return _graph(
+        mode if isinstance(mode, str) else "custom",
+        _code_labels(net.n, restrict),
+        _successor_kernel(net, mode, restrict),
+    )
 
 
 def mp_projected_stg(net, restrict=None):
@@ -252,23 +251,15 @@ def mp_projected_stg(net, restrict=None):
 
     Edge x -> y iff y differs from x and y is mp-reachable from x.
     """
-    if net.n > MP_PROJECTED_STG_CAP:
-        raise DynamicsError(
-            "network too large for the projected mp STG (n=%d, cap=%d)"
-            % (net.n, MP_PROJECTED_STG_CAP)
-        )
-    if restrict is None:
-        restrict = Cube.full(net.n)
-    nodes = list(vertices(restrict, cap=net.n))
-    edges = []
-    for state in nodes:
-        for target in nodes:
-            if target != state and _mp_reachable(net, state, target):
-                edges.append((state_to_str(state), state_to_str(target)))
-    stg = Stg("mp-projected")
-    stg.nodes = sorted(state_to_str(s) for s in nodes)
-    stg.edges = sorted(edges)
-    return stg
+    restrict = _explicit(net, MP_STG_CAP, "the projected mp STG", restrict)
+    labels = _code_labels(net.n, restrict)
+    states = {code: decode_state(code, net.n) for code in labels}
+
+    def reached(code):
+        x = states[code]
+        return [t for t, y in states.items() if t != code and _mp_reachable(net, x, y)]
+
+    return _graph("mp-projected", labels, reached)
 
 
 def _mp_reachable(net, x, y):
@@ -317,25 +308,17 @@ def reachability(net, x, y, mode="mp"):
     x, y = _binary_state(net, x), _binary_state(net, y)
     if mode == "mp":
         return x == y or _mp_reachable(net, x, y)
-    if net.n > STG_CAP:
-        raise DynamicsError(
-            "network too large for explicit-state reachability (n=%d, cap=%d)"
-            % (net.n, STG_CAP)
-        )
+    restrict = _explicit(net, STG_CAP, "explicit-state reachability")
     start, goal = encode_state(x), encode_state(y)
-    if start == goal:
-        return True
-    succ = _successor_kernel(net, mode)
+    succ = _successor_kernel(net, mode, restrict)
     seen = {start}
     queue = deque([start])
-    while queue:
+    while queue and goal not in seen:
         for nxt in succ(queue.popleft()):
-            if nxt == goal:
-                return True
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return False
+    return goal in seen
 
 
 def attractors(net, reachable_from=None, limit=None, deadline=None):

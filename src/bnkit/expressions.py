@@ -35,22 +35,65 @@ class Const:
     value: bool
 
 
-@dataclass(frozen=True)
-class Not:
+class _Operator:
+    """An operator node compares, hashes and prints (as the dataclass repr
+    would) through its `_preorder` listing, so nesting depth is unbounded."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _preorder(self) == _preorder(other)
+
+    def __hash__(self):
+        return hash(tuple(_preorder(self)))
+
+    def __repr__(self):
+        parts = []
+        for node in reversed(_preorder(self)):
+            if type(node) is not tuple:
+                parts.append(repr(node))
+            elif node[0] is Not:
+                parts.append("Not(arg=%s)" % parts.pop())
+            else:
+                args = [parts.pop() for _ in range(node[1])]
+                text = ", ".join(args) + ("," if len(args) == 1 else "")
+                parts.append("%s(args=(%s))" % (node[0].__name__, text))
+        return parts[0]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Not(_Operator):
     arg: "Expression"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False, repr=False)
+class And(_Operator):
     args: tuple
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False, repr=False)
+class Or(_Operator):
     args: tuple
 
 
 Expression = Var | Const | Not | And | Or
+
+
+def _preorder(expr):
+    """The tree's nodes in preorder, each leaf as itself and each operator
+    node as (type, arity): two trees are equal iff their listings are."""
+    out = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Operator):
+            args = (node.arg,) if type(node) is Not else node.args
+            out.append((type(node), len(args)))
+            stack.extend(reversed(args))
+        else:
+            out.append(node)
+    return out
+
 
 _TOKEN_RE = re.compile(r"([A-Za-z0-9_]+)|([!&|()])|(\s+)|(.)")
 # operator symbols and words, by the symbol the parser dispatches on

@@ -3,7 +3,18 @@ from itertools import product
 
 import pytest
 
-from bnkit import Cube, closure, eval_on_cube, is_trap_space, parse_bnet, vertices
+from bnkit import (
+    Cube,
+    build_stg,
+    closure,
+    eval_on_cube,
+    fixed_points,
+    is_trap_space,
+    maximal_trap_spaces,
+    minimal_trap_spaces,
+    parse_bnet,
+    vertices,
+)
 from bnkit.cubes import CubeError, eval_mask
 from bnkit.expressions import parse_expression
 from bnkit.network import normalize
@@ -67,6 +78,22 @@ def test_intersect_matches_vertex_sets():
             assert not (va & vb)
         else:
             assert set(vertices(both)) == va & vb
+
+
+@pytest.mark.parametrize(
+    "values", [(0, 5, 2), ("0", 1, 2), (0, None, 1), (0, 1.5), (-1,)]
+)
+def test_cube_values_are_checked(example, values):
+    # a cube is refused when it is made, so no consumer sees a bad value
+    for use in (
+        lambda cube: list(fixed_points(example, within=cube)),
+        lambda cube: list(minimal_trap_spaces(example, within=cube)),
+        lambda cube: list(maximal_trap_spaces(example, within=cube)),
+        lambda cube: closure(example, cube),
+        lambda cube: build_stg(example, "asynchronous", cube),
+    ):
+        with pytest.raises(CubeError, match="cube values must be"):
+            use(Cube(values))
 
 
 def test_vertices():

@@ -18,7 +18,6 @@ from bnkit import (
     reachability,
     successors,
 )
-from bnkit.cubes import state_to_str
 from bnkit.dynamics import (
     DEC,
     INC,
@@ -35,6 +34,11 @@ from nettools import (
     oracle_general_successors,
     random_network,
 )
+
+
+def state_to_str(state):
+    return "".join(map(str, state))
+
 
 EXAMPLE = "targets, factors\na, !b\nb, !a\nc, !(a & !b) & !c\n"
 
@@ -137,14 +141,32 @@ def test_stg_mp_mode():
     assert ("+", "1") in stg.edges
 
 
-def test_stg_cap():
-    # each cap is checked before any state is listed
+def test_stg_cap(monkeypatch):
+    # each cap is checked before any state is listed; n = 11 is refused by
+    # both mp graphs
+    def listed(*args):
+        raise AssertionError("states listed above the cap")
+
+    monkeypatch.setattr("bnkit.dynamics._mp_nodes", listed)
+    monkeypatch.setattr("bnkit.dynamics.subcube_codes", listed)
     with pytest.raises(DynamicsError):
         build_stg(random_network(0, 21), "asynchronous")
     with pytest.raises(DynamicsError):
         build_stg(random_network(0, 13), "mp")
+    with pytest.raises(DynamicsError, match="explicit mp STG"):
+        build_stg(random_network(0, 11), "mp")
     with pytest.raises(DynamicsError):
         mp_projected_stg(random_network(0, 11))
+
+
+@pytest.mark.parametrize("values", [(0, 1), (1, 2), (0, 1, 2, 2), ()])
+def test_restriction_of_wrong_length_is_refused(example, values):
+    cube = Cube(values)
+    with pytest.raises(DynamicsError, match="restriction cube length mismatch"):
+        mp_projected_stg(example, cube)
+    for mode in MODES + ("mp",):
+        with pytest.raises(DynamicsError, match="restriction cube length mismatch"):
+            build_stg(example, mode, cube)
 
 
 def test_stg_export_stable(example):
@@ -259,6 +281,33 @@ def test_stg_output_is_byte_identical_to_recorded_digest():
         digest.update(json.dumps(stg_to_json_obj(stg)).encode())
     assert digest.hexdigest() == (
         "2ca5abd9943ec280ba1dbcbb566d0b4304cfbd6b294fe2156401d0ada67a725f"
+    )
+
+
+def _mp_stg_corpus():
+    """(net, restrict): n = 0..6 and constant nets, with and without a random
+    restriction cube."""
+    rng = random.Random(2025)
+    nets = [parse_bnet(""), parse_bnet("a, 1"), parse_bnet("a, 1\nb, 0\nc, c\nd, !d")]
+    nets += [random_network(seed, seed % 7) for seed in range(21)]
+    cases = []
+    for net in nets:
+        cases.append((net, None))
+        cases.append((net, Cube(tuple(rng.choice((0, 1, 2, 2)) for _ in range(net.n)))))
+    return cases
+
+
+def test_mp_stg_output_is_byte_identical_to_recorded_digest():
+    # sha256 of the dot and JSON renderings of the mp and projected STGs of
+    # every corpus case, recorded with the builders that sorted their node
+    # sets and edge lists globally
+    digest = hashlib.sha256()
+    for net, restrict in _mp_stg_corpus():
+        for stg in (build_stg(net, "mp", restrict), mp_projected_stg(net, restrict)):
+            digest.update(stg_to_dot(stg).encode())
+            digest.update(json.dumps(stg_to_json_obj(stg)).encode())
+    assert digest.hexdigest() == (
+        "15ee0c467b91092284bf4521613214007864968e94c4e1396a8c01a497e976a6"
     )
 
 

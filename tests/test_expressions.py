@@ -93,6 +93,36 @@ def test_deep_nesting():
 
 
 @pytest.mark.parametrize(
+    "text, leaf",
+    [("!" * 3000 + "%s", "a"), ("!(" * 1200 + "a & %s" + ")" * 1200, "b")],
+    ids=["not-chain", "not-and-chain"],
+)
+def test_deep_asts_compare_hash_and_print(text, leaf):
+    # equality, hash and repr walk the tree without recursion
+    expr = parse_expression(text % leaf)
+    same = parse_expression(text % leaf)
+    other = parse_expression(text % "c")
+    assert expr == same and not expr != same
+    assert expr != other and not expr == other
+    assert hash(expr) == hash(same)
+    assert len({expr, same, other}) == 2
+    shown = repr(expr)
+    assert shown == repr(same) and shown != repr(other)
+    assert "Var(name='%s')" % leaf in shown and shown.endswith(")" * 10)
+
+
+def test_ast_repr_is_the_dataclass_repr():
+    expr = Or((Var("x"), Not(Const(True)), And((Var("a"), Var("b")))))
+    assert repr(expr) == (
+        "Or(args=(Var(name='x'), Not(arg=Const(value=True)), "
+        "And(args=(Var(name='a'), Var(name='b')))))"
+    )
+    assert repr(And((Var("a"),))) == "And(args=(Var(name='a'),))"
+    assert repr(Or(())) == "Or(args=())"
+    assert Not(Var("a")) != Var("a") and And((Var("a"),)) != Or((Var("a"),))
+
+
+@pytest.mark.parametrize(
     "text, message, column",
     [
         ("(" * 3000 + "a", "expected ')'", 3002),
