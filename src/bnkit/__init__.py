@@ -1,7 +1,7 @@
 """Boolean network analysis toolkit.
 
-Parsing and edition of bnet models, functions as canonical DNFs of f and
-(for non-unate f) of not f, cube algebra with exact evaluation and
+Parsing and edition of bnet models, functions as canonical DNFs of f
+with their prime implicants, cube algebra with exact evaluation and
 closure, native enumeration of fixed points and minimal/maximal trap
 spaces, state transition graphs under synchronous, asynchronous, general
 and most-permissive update modes, and a benchmark harness with a

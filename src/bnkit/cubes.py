@@ -166,42 +166,29 @@ def vertices(cube, cap=DEFAULT_VERTEX_CAP):
         yield decode_state(code, n)
 
 
-def _some_compatible(clauses, values):
-    """True iff some clause has no fixed literal that contradicts the cube."""
-    for clause in clauses:
-        for comp, val in clause:
-            v = values[comp]
-            if v != FREE and v != val:
-                break
-        else:
-            return True
-    return False
-
-
 def eval_mask(fn, values):
     """Bitmask of function values achievable on the cube (bit v = value v).
 
-    A value is achievable iff some clause of its DNF is compatible with the
-    cube: the DNF of f gives value 1, and the DNF of not f gives value 0.
-    A unate function has no DNF of not f; it takes value 0 somewhere on the
-    cube iff no clause of f is fully fixed true.
+    Value 0 is achievable iff f is not 1 on the whole cube, that is iff no
+    prime implicant of f has all its literals fixed true.  Value 1 is
+    achievable iff some clause of f is compatible with the cube: no fixed
+    literal contradicts it.
     """
-    clauses = fn.dnf.clauses
-    if not clauses:
-        return 1
-    if clauses[0] == ():
-        return 2
-    mask = 2 if _some_compatible(clauses, values) else 0
-    if not fn.unate:
-        return mask | 1 if _some_compatible(fn.neg.clauses, values) else mask
-    for clause in clauses:
-        for comp, val in clause:
-            v = values[comp]
-            if v == FREE or v == 1 - val:
+    mask = 1
+    for prime in fn.primes.clauses:
+        for comp, val in prime:
+            if values[comp] != val:
                 break
         else:
-            return mask
-    return mask | 1
+            mask = 0
+            break
+    for clause in fn.dnf.clauses:
+        for comp, val in clause:
+            if values[comp] == 1 - val:
+                break
+        else:
+            return mask | 2
+    return mask
 
 
 def eval_on_cube(fn, cube):
@@ -217,6 +204,8 @@ def closure(net, cube, pinned=()):
     addition wakes only the functions whose support contains the component.
     Components in ``pinned`` are never woken and keep their value in the cube.
     """
+    if len(cube.values) != net.n:
+        raise CubeError("expected %d values, got %d" % (net.n, len(cube.values)))
     masks = [_VALUE_TO_MASK[v] for v in cube.values]
     values = list(cube.values)
     if pinned:
@@ -244,6 +233,8 @@ def closure(net, cube, pinned=()):
 def is_trap_space(net, cube):
     """True iff every fixed component's function is constant at that value."""
     values = cube.values
+    if len(values) != net.n:
+        raise CubeError("expected %d values, got %d" % (net.n, len(values)))
     for i, v in enumerate(values):
         if v == FREE:
             continue

@@ -5,13 +5,14 @@ satisfying value of the literal (1 for a plain variable, 0 for a negated
 one).  A function's canonical DNF is a sorted tuple of sorted clauses with
 no contradictory clause and no subsumed clause.  The constant-false
 function has no clause; the constant-true function has a single empty
-clause.  A function whose DNF is not unate also carries the canonical DNF
-of its negation, so that both of its values read from clauses.
+clause.  Every function also carries its prime implicants, so that both
+of its values on a cube read from clauses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .expressions import (
     RESERVED,
@@ -43,7 +44,7 @@ class NetworkError(ValueError):
 class NormalizationError(ValueError):
     """DNF construction exceeded the configured clause cap.
 
-    For the DNF of a negation the cap bounds the work of the build.
+    For the prime implicants the cap bounds the work of the build.
     """
 
 
@@ -132,56 +133,80 @@ def _combine(node, positive, parts, cap):
     return _prune(union)
 
 
-def _work_cap_error(cap):
-    return NormalizationError("DNF of the negation exceeded the work cap (%d)" % cap)
+def _primes(dnf, cap):
+    """Prime implicants of a canonical DNF, as a canonical DNF.
 
-
-def _negation(dnf, cap):
-    """Clause set of the negation of a DNF: the product of its negated clauses.
-
-    Each clause of f multiplies the clauses so far by its negated literals
-    (Berge's transversal step).  A clause that already holds one of those
-    literals is kept as it is; any other is extended by each literal x in
-    turn, unless it holds the opposite of x.  Only a kept clause that holds
-    x can subsume an extension by x, so only those are tested.  The result
-    reads only the components that the DNF reads.
-
-    Every clause carried through a step, every extension and every
-    subsumption test counts against the cap, which so bounds the time of
-    the build and not only its size.
+    A unate DNF, none of whose clauses subsumes another, is its own primes
+    and is returned as it is.  Any other is closed under consensus (Quine):
+    two clauses that clash on one variable imply their union without it,
+    and a clause that a kept one subsumes is dropped; the fixpoint keeps
+    exactly the primes, over the DNF's support.  Literal indexes find the
+    clashing partners and the subsumption candidates.  Every clause looked
+    at counts against the cap, which so bounds the time of the build.
     """
-    acc = [frozenset()]
+    signs = {}
+    for comp, val in chain.from_iterable(dnf.clauses):
+        if signs.setdefault(comp, val) != val:
+            break
+    else:
+        return dnf
+    kept = set()
+    holding = {}  # literal -> {kept clause holding it: None}
+    heads = {}  # literal -> {kept clause whose least literal it is: None}
+    done = set()  # clauses whose consensus with every earlier one is taken
+    queue = []
+
+    def add(clause):
+        kept.add(clause)
+        heads.setdefault(min(clause), {})[clause] = None
+        for lit in clause:
+            holding.setdefault(lit, {})[clause] = None
+        queue.append(clause)
+
+    def keep(clause):
+        """Keep a clause unless subsumed, drop what it subsumes; return the work."""
+        if clause in kept:
+            return 1
+        # a subsumer has its least literal here; a superset holds the rarest
+        looked = 0
+        for lit in clause:
+            rivals = heads.get(lit, ())
+            looked += len(rivals)
+            if any(rival <= clause for rival in rivals):
+                return looked
+        rarest = min((holding.get(lit, {}) for lit in clause), key=len)
+        for rival in [r for r in rarest if clause < r]:
+            kept.remove(rival)
+            del heads[min(rival)][rival]
+            for lit in rival:
+                del holding[lit][rival]
+        add(clause)
+        return looked + len(rarest)
+
+    # the clauses of a canonical DNF subsume none of each other
+    initial = [frozenset(clause) for clause in dnf.clauses]
+    for clause in initial:
+        add(clause)
     work = 0
-    for clause in dnf.clauses:
-        lits = [(comp, 1 - val) for comp, val in clause]
-        work += len(acc)
-        if work > cap:
-            raise _work_cap_error(cap)
-        out = set()
-        holding = {}
-        extend = []
-        for kept in acc:
-            held = [lit for lit in lits if lit in kept]
-            if not held:
-                extend.append(kept)
-                continue
-            out.add(kept)
-            for lit in held:
-                holding.setdefault(lit, []).append(kept)
-        for kept in extend:
-            for lit in lits:
-                comp, val = lit
-                if (comp, 1 - val) in kept:
-                    continue
-                merged = kept | {lit}
-                rivals = holding.get(lit, ())
-                work += 1 + len(rivals)
+    while queue:
+        clause = queue.pop()
+        for comp, val in clause:
+            partners = [c for c in holding.get((comp, 1 - val), ()) if c in done]
+            work += len(partners)
+            for other in partners:
+                merged = (clause | other) - {(comp, 0), (comp, 1)}
+                if not merged:
+                    return Dnf(((),))  # x and !x are implicants: f is 1
+                if not any((c, 1 - v) in merged for c, v in merged):
+                    work += keep(merged)
                 if work > cap:
-                    raise _work_cap_error(cap)
-                if not any(rival <= merged for rival in rivals):
-                    out.add(merged)
-        acc = out
-    return acc
+                    raise NormalizationError("primes exceeded the work cap (%d)" % cap)
+            if clause not in kept:
+                break
+        else:
+            done.add(clause)
+    # a DNF closed under consensus is its own primes
+    return dnf if kept == set(initial) else _canonical(kept)
 
 
 @dataclass(frozen=True)
@@ -196,15 +221,6 @@ class Dnf:
     def is_true(self):
         return self.clauses == ((),)
 
-    def is_unate(self):
-        signs = {}
-        for clause in self.clauses:
-            for comp, val in clause:
-                prev = signs.setdefault(comp, val)
-                if prev != val:
-                    return False
-        return True
-
 
 def _canonical(clause_set):
     clauses = sorted(tuple(sorted(clause)) for clause in clause_set)
@@ -212,19 +228,19 @@ def _canonical(clause_set):
 
 
 class NodeFunction:
-    """One component's update function: canonical DNFs of f and of its negation.
+    """One component's update function: its canonical DNF and its primes.
 
-    ``neg``, the canonical DNF of the negation, is kept only when the DNF
-    of f is not unate, and is None otherwise.  ``support`` is the tuple of
-    the components the function reads, in index order.
+    ``primes``, the prime implicants of f as a canonical DNF, is the DNF
+    itself when consensus adds nothing to it, as for every unate DNF.  f
+    is 1 on a whole cube iff the cube's fixed literals contain a prime.  ``support`` is the tuple of the
+    components the function reads, in index order.
     """
 
-    __slots__ = ("dnf", "unate", "neg", "support")
+    __slots__ = ("dnf", "primes", "support")
 
-    def __init__(self, dnf, unate, neg, support):
+    def __init__(self, dnf, primes, support):
         self.dnf = dnf
-        self.unate = unate
-        self.neg = neg
+        self.primes = primes
         self.support = support
 
     def __repr__(self):
@@ -234,14 +250,11 @@ class NodeFunction:
 def normalize(expr, index, clause_cap=DEFAULT_CLAUSE_CAP):
     """Build the canonical NodeFunction for an expression.
 
-    The DNF of the negation is built from the DNF of f, under the same
-    cap, only when the syntactic unateness test fails.
+    The primes are built from the DNF of f, under the same cap.
     """
     dnf = _canonical(_to_clauses(expr, index, True, clause_cap))
-    unate = dnf.is_unate()
-    neg = None if unate else _canonical(_negation(dnf, clause_cap))
     support = tuple(sorted({comp for clause in dnf.clauses for comp, _ in clause}))
-    return NodeFunction(dnf, unate, neg, support)
+    return NodeFunction(dnf, _primes(dnf, clause_cap), support)
 
 
 def evaluate(fn, state):

@@ -132,14 +132,13 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
     Without it the search resumes chronologically after each answer.
 
     A fixed component's check reads clauses whatever its support: value 0
-    needs every clause of f dead, value 1 every clause of not f, or, for a
-    unate f, some clause of f fully true.  An unassigned component's check
-    evaluates f on the upper-bound cube (the assigned 0/1 values, FREE
-    elsewhere), and in a FREE-first search waits for a complete support if
-    the component may be FREE.  A component none of whose regulators may
-    be FREE is two-valued; only the other fixed components, bar those that
-    the minimality rule below fixed, steer branching towards completing
-    their support.  With every domain inside {0, 1} (fixed points) all
+    needs every clause of f dead, value 1 some prime implicant of f fully
+    true.  An unassigned component's check evaluates f on the upper-bound
+    cube (the assigned 0/1 values, FREE elsewhere), and in a FREE-first
+    search waits for a complete support if the component may be FREE.  A
+    component none of whose regulators may be FREE is two-valued; only the
+    other fixed components, bar those that the minimality rule below
+    fixed, steer branching towards completing their support.  With every domain inside {0, 1} (fixed points) all
     components are two-valued, so branching follows ``_branch_order``
     alone.
 
@@ -300,21 +299,20 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
                 return no_implications
             return None, reasons[i] | assigned_reason(fn.support)
         if vi != _UNASSIGNED:
-            # Every fixed component gets clause reasoning.  Value 0 needs
-            # every clause of f dead (a fixed literal contradicts it), and
-            # value 1 every clause of not f; a clause with one open literal
-            # left forces that literal false.  A conclusion rests on i and
-            # on the literals of the clauses that forced it.  A unate f
-            # has no not f: it stays within {1} iff some clause is fully
-            # fixed true, and the last open clause is propagated; that
-            # conclusion rests on i and on one contradicting literal per
-            # dead clause.
-            if vi == 1 and fn.unate:
+            # Every fixed component gets clause reasoning.  Value 1 needs
+            # some prime implicant of f fully fixed true, and the last open
+            # prime is propagated; that conclusion rests on i and on one
+            # contradicting literal per dead prime.  Value 0 needs every
+            # clause of f dead (a fixed literal contradicts it), and a
+            # clause with one open literal left forces that literal false;
+            # that conclusion rests on i and on the literals of the
+            # clauses that forced it.
+            if vi == 1:
                 candidates = []
                 killers = [i]
-                for clause in fn.dnf.clauses:
+                for prime in fn.primes.clauses:
                     unassigned = []
-                    for comp, val in clause:
+                    for comp, val in prime:
                         v = values[comp]
                         if v == val:
                             continue
@@ -334,7 +332,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
                 return no_implications
             implied = []
             why = reasons[i]
-            for clause in (fn.neg if vi else fn.dnf).clauses:
+            for clause in fn.dnf.clauses:
                 forcible = []
                 for comp, val in clause:
                     v = values[comp]
@@ -697,14 +695,14 @@ def _percolate_down(net, trap, clock):
 def _scc_value_domains(net, trap, scc_set, clock):
     """Values each feedback component could take in a strict sub-trap.
 
-    Greatest fixpoint of the necessary conditions for unate functions:
-    fixing a component to 1 needs some clause whose literals can all
-    become fixed true, fixing to 0 needs every clause to be blockable by
-    a fixed-false literal; components outside the feedback set keep their
+    Greatest fixpoint of the necessary conditions: fixing a component to
+    1 needs some prime implicant whose literals can all become fixed true,
+    fixing to 0 needs every clause to be blockable by a fixed-false
+    literal; components outside the feedback set keep their
     candidate-trap value (free ones stay free).  Each surviving value is
     then probed with its opposite removed, which enforces consistency of
     the component itself; a value that cannot support itself this way is
-    discarded.  Sound for non-unate functions, which stay unconstrained.
+    discarded.
 
     The fixpoint is computed by worklist propagation (AC-3): a component
     is re-checked only when a regulator inside the SCC lost a value.  The
@@ -713,15 +711,12 @@ def _scc_value_domains(net, trap, scc_set, clock):
     """
     functions = net.functions
     outside = trap.values
-    readers = {
-        c: [j for j in net.dependents[c] if j in scc_set and functions[j].unate]
-        for c in scc_set
-    }
+    readers = {c: [j for j in net.dependents[c] if j in scc_set] for c in scc_set}
 
     def supported(j, v, domains):
         if v == 1:
-            for clause in functions[j].dnf.clauses:
-                for c, val in clause:
+            for prime in functions[j].primes.clauses:
+                for c, val in prime:
                     if c in scc_set:
                         if val not in domains[c]:
                             break
@@ -764,7 +759,7 @@ def _scc_value_domains(net, trap, scc_set, clock):
                         queue.append(t)
 
     master = {j: {0, 1} for j in scc_set}
-    refine(master, [j for j in scc_set if functions[j].unate], [])
+    refine(master, scc_set, [])
     changed = True
     while changed:
         changed = False

@@ -121,6 +121,57 @@ def eval_oracle(fn, cube):
     return frozenset(seen)
 
 
+def prime_oracle(fn):
+    """Prime implicants of f by enumeration, as a sorted tuple of sorted
+    clauses: every term over the support (at most 6 components) that
+    implies f and contains no smaller implicant."""
+    support = fn.support
+    assert len(support) <= 6
+    state = [0] * (support[-1] + 1 if support else 0)
+
+    def implies(term):
+        free = [c for c in support if c not in dict(term)]
+        for comp, val in term:
+            state[comp] = val
+        for bits in product((0, 1), repeat=len(free)):
+            for comp, b in zip(free, bits):
+                state[comp] = b
+            if not evaluate(fn, state):
+                return False
+        return True
+
+    primes = []
+    for signs in product((None, 0, 1), repeat=len(support)):
+        term = tuple((c, v) for c, v in zip(support, signs) if v is not None)
+        if implies(term) and not any(
+            implies(term[:k] + term[k + 1:]) for k in range(len(term))
+        ):
+            primes.append(term)
+    return tuple(sorted(primes))
+
+
+def is_unate(fn):
+    """True iff no component appears in the DNF of f with both signs."""
+    signs = {}
+    return all(
+        signs.setdefault(comp, val) == val
+        for clause in fn.dnf.clauses
+        for comp, val in clause
+    )
+
+
+def layered_expression(w, k):
+    """`(x_i & !z1) | (z_j & y_j_i & !z_{j+1}) | (z_k & y_k_i)` for i < w and
+    0 < j < k, with its variable names: w * (k + 1) clauses of f, whose
+    primes grow about w-fold per layer."""
+    terms = ["(x%d & !z1)" % i for i in range(w)]
+    for j in range(1, k):
+        terms += ["(z%d & y%d_%d & !z%d)" % (j, j, i, j + 1) for i in range(w)]
+    terms += ["(z%d & y%d_%d)" % (k, k, i) for i in range(w)]
+    names = sorted({lit.strip("()!") for term in terms for lit in term.split(" & ")})
+    return " | ".join(terms), names
+
+
 def render(expr):
     """Render an AST back to expression text with minimal parentheses."""
 
@@ -163,14 +214,14 @@ def _mp_reachable_states(net, start):
 def _scc_value_domains(net, trap, scc_set, clock):
     """Values each feedback component could take in a strict sub-trap.
 
-    Greatest fixpoint of the necessary conditions for unate functions:
-    fixing a component to 1 needs some clause whose literals can all
-    become fixed true, fixing to 0 needs every clause to be blockable by
-    a fixed-false literal; components outside the feedback set keep their
+    Greatest fixpoint of the necessary conditions: fixing a component to
+    1 needs some prime implicant whose literals can all become fixed true,
+    fixing to 0 needs every clause to be blockable by a fixed-false
+    literal; components outside the feedback set keep their
     candidate-trap value (free ones stay free).  Each surviving value is
     then probed with its opposite removed, which enforces consistency of
     the component itself; a value that cannot support itself this way is
-    discarded.  Sound for non-unate functions, which stay unconstrained.
+    discarded.
     """
 
     def refine(domains):
@@ -180,14 +231,12 @@ def _scc_value_domains(net, trap, scc_set, clock):
             clock.poll()
             for j in scc_set:
                 fn = net.functions[j]
-                if not fn.unate:
-                    continue
                 dom = domains[j]
                 if 1 in dom:
                     ok = False
-                    for clause in fn.dnf.clauses:
+                    for prime in fn.primes.clauses:
                         good = True
-                        for c, val in clause:
+                        for c, val in prime:
                             if c in scc_set:
                                 if val not in domains[c]:
                                     good = False

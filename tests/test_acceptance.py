@@ -31,10 +31,12 @@ from nettools import (
     _mp_reachable_states,
     eval_oracle,
     image_table,
+    is_unate,
     oracle_fixed_points,
     oracle_maximal_traps,
     oracle_minimal_traps,
     oracle_suite,
+    prime_oracle,
     random_expression,
 )
 from bnkit import closure
@@ -80,7 +82,7 @@ def test_criterion_2_oracle_equivalence():
     saw_non_unate = False
     for seed, net in suite:
         assert net.n <= 7
-        saw_non_unate = saw_non_unate or any(not f.unate for f in net.functions)
+        saw_non_unate = saw_non_unate or not all(map(is_unate, net.functions))
         table = image_table(net)
         assert set(fixed_points(net)) == oracle_fixed_points(net, table=table)
         assert set(minimal_trap_spaces(net)) == oracle_minimal_traps(net, table=table)
@@ -120,9 +122,12 @@ def test_criterion_4_eval_on_cube():
         assert len(fn.support) <= 16
         cube = Cube(tuple(rng.randint(0, 2) for _ in range(k)))
         assert eval_on_cube(fn, cube) == eval_oracle(fn, cube)
-        if not fn.unate:
+        if is_unate(fn):
+            assert fn.primes is fn.dnf
+        else:
             non_unate += 1
-            assert fn.neg is not None
+            if len(fn.support) <= 4:
+                assert fn.primes.clauses == prime_oracle(fn)
     assert non_unate > 0
     _report(4, "eval exactness, %d non-unate of 10000" % non_unate, time.monotonic() - t0, 60.0)
 

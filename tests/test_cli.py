@@ -8,6 +8,7 @@ import pytest
 import bnkit.cli
 from bnkit.cli import main
 from bnkit.network import parse_bnet
+from nettools import layered_expression
 
 EXAMPLE = "targets, factors\na, !b\nb, !a\nc, !(a & !b) & !c\n"
 
@@ -224,11 +225,21 @@ def test_exit_code_normalization_error(tmp_path, monkeypatch):
     code, _, err = run("fixpoints", str(path))
     assert code == 2
     assert "model error" in err
-    # f fits the cap, but its negation does not
-    path.write_text("a, a\nb, b\nc, c\nd, d\ne, (a & b) | (c & d) | (e & !a)\n")
+    # f fits the cap, but closing it under consensus does not
+    path.write_text("a, (a & !b) | (b & !c) | (c & !a)\nb, b\nc, c\n")
     code, _, err = run("fixpoints", str(path))
     assert code == 2
     assert "model error" in err
+
+
+def test_exit_code_primes_work_cap(tmp_path):
+    # under the default cap: f has 21 clauses, its primes overrun the work cap
+    text, names = layered_expression(3, 6)
+    path = tmp_path / "layered.bnet"
+    path.write_text("".join("%s, %s\n" % (name, name) for name in names) + "f, " + text)
+    code, out, err = run("fixpoints", str(path))
+    assert (code, out) == (2, "")
+    assert "model error" in err and "work cap" in err
 
 
 def test_bad_within(model):

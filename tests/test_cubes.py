@@ -18,7 +18,14 @@ from bnkit import (
 from bnkit.cubes import CubeError, eval_mask
 from bnkit.expressions import parse_expression
 from bnkit.network import normalize
-from nettools import eval_oracle, image_table, oracle_is_trap, random_expression, random_network
+from nettools import (
+    eval_oracle,
+    image_table,
+    is_unate,
+    oracle_is_trap,
+    random_expression,
+    random_network,
+)
 
 EXAMPLE = "targets, factors\na, !b\nb, !a\nc, !(a & !b) & !c\n"
 
@@ -113,7 +120,7 @@ def test_eval_on_cube_worked_example(example):
 def test_eval_on_cube_xor_and_constants():
     net = parse_bnet("a, a\nb, b\nv, (a & !b) | (!a & b)\nt, 1\nf, 0")
     xor = net.functions[2]
-    assert not xor.unate
+    assert not is_unate(xor)
     assert eval_on_cube(xor, Cube.full(5)) == {0, 1}
     assert eval_on_cube(xor, Cube.parse("10***", net.names)) == {1}
     assert eval_on_cube(xor, Cube.parse("11***", net.names)) == {0}
@@ -130,7 +137,7 @@ def test_eval_on_cube_oracle_randomized():
         fn = normalize(parse_expression(random_expression(rng, names)), index)
         cube = Cube(tuple(rng.choice((0, 1, 2)) for _ in names))
         assert eval_on_cube(fn, cube) == eval_oracle(fn, cube)
-        nonunate += not fn.unate
+        nonunate += not is_unate(fn)
     assert nonunate > 50
 
 
@@ -191,16 +198,29 @@ def test_trap_intersection_closed():
                 assert is_trap_space(net, both)
 
 
-def test_eval_mask_nonunate_uses_neg():
+def test_eval_mask_nonunate_uses_primes():
     net = parse_bnet("a, a\nb, b\nv, (a & !b) | (!a & b)")
     fn = net.functions[2]
-    assert fn.neg is not None
-    # false side on a mixed cube must come from the clauses of not f
+    assert fn.primes.clauses == fn.dnf.clauses
+    # false side on a mixed cube: no prime is fully fixed true there
     assert eval_mask(fn, (2, 2, 2)) == 3
     assert eval_mask(fn, (1, 0, 2)) == 2
     # f is b, but its DNF is not unate and no clause is fully fixed true
-    # on *1*: only not f (= !b) shows that value 0 is unreachable there
+    # on *1*: only the prime b shows that value 0 is unreachable there
     net = parse_bnet("a, a\nb, b\nv, (a & b) | (!a & b)")
     fn = net.functions[2]
-    assert not fn.unate
+    assert not is_unate(fn)
+    assert fn.primes.clauses == (((1, 1),),)
     assert eval_mask(fn, (2, 1, 2)) == 2
+
+
+def test_cube_length_must_match_network(example):
+    # example has 3 components; a shorter or longer cube is refused
+    with pytest.raises(CubeError, match="expected 3 values, got 2"):
+        is_trap_space(example, Cube((1, 0)))
+    with pytest.raises(CubeError, match="expected 3 values, got 4"):
+        is_trap_space(example, Cube((0, 1, 0, 1)))
+    with pytest.raises(CubeError, match="expected 3 values, got 2"):
+        closure(example, Cube((1, 0)))
+    with pytest.raises(CubeError, match="expected 3 values, got 4"):
+        closure(example, Cube((0, 1, 0, 1)))

@@ -2,6 +2,7 @@ import pytest
 
 from bnkit import GenSpec, generate_bnet, parse_bnet
 from bnkit.solver import fixed_points
+from nettools import is_unate
 
 
 def test_seed_determinism():
@@ -22,12 +23,12 @@ def test_output_parses():
 
 def test_inhibitor_dominant_unate():
     net = parse_bnet(generate_bnet(GenSpec(n=60, seed=11)))
-    assert all(fn.unate for fn in net.functions)
+    assert all(is_unate(fn) for fn in net.functions)
 
 
 def test_nested_canalizing_unate():
     net = parse_bnet(generate_bnet(GenSpec(n=60, family="nested-canalizing-unate", seed=11)))
-    assert all(fn.unate for fn in net.functions)
+    assert all(is_unate(fn) for fn in net.functions)
 
 
 def test_degrees_bounded():

@@ -14,7 +14,7 @@ from bnkit.network import (
     evaluate,
     normalize,
 )
-from nettools import random_expression
+from nettools import is_unate, layered_expression, prime_oracle, random_expression
 
 EXAMPLE = "targets, factors\na, !b\nb, !a\nc, !(a & !b) & !c\n"
 
@@ -36,7 +36,7 @@ def test_parse_worked_example():
         (lit(names, "!a"), lit(names, "!c")),
         (lit(names, "b"), lit(names, "!c")),
     )
-    assert all(fn.unate for fn in net.functions)
+    assert all(is_unate(fn) for fn in net.functions)
 
 
 def test_parse_empty_file():
@@ -113,20 +113,55 @@ def test_deep_nesting_parses():
         assert evaluate(fn, state) == value
 
 
-def _neg_value(fn, state):
-    """Value of the DNF of not f at a binary state."""
-    return int(any(all(state[c] == v for c, v in clause) for clause in fn.neg.clauses))
+def _primes_value(fn, state):
+    """Value of the DNF of the primes of f at a binary state."""
+    return int(any(all(state[c] == v for c, v in clause) for clause in fn.primes.clauses))
 
 
-def test_xor_gets_neg():
+def test_xor_gets_primes():
     net = parse_bnet("a, a\nb, b\nv, (a & !b) | (!a & b)\nw, a & !b")
     fn = net.functions[2]
-    assert not fn.unate
-    assert fn.neg is not None
+    assert not is_unate(fn)
+    # no two clauses clash on exactly one variable: the DNF is its own primes
+    assert fn.primes is fn.dnf
+    assert fn.primes.clauses == prime_oracle(fn)
     for state in product((0, 1), repeat=4):
-        assert _neg_value(fn, state) == 1 - evaluate(fn, state)
-    assert net.functions[3].unate
-    assert all(f.neg is None for f in net.functions if f.unate)
+        assert _primes_value(fn, state) == evaluate(fn, state)
+    assert is_unate(net.functions[3])
+    # a unate DNF is its own primes: the same object, no copy
+    assert all(f.primes is f.dnf for f in net.functions if is_unate(f))
+
+
+def test_primes_match_oracle():
+    rng = random.Random(23)
+    names = ["v%d" % i for i in range(6)]
+    index = {n: i for i, n in enumerate(names)}
+    texts = [
+        "0",
+        "1",
+        "v0 | !v0",
+        "(v0 & v1) | (!v0 & v1)",
+        "(v0 & !v1) | (v1 & !v2) | (v2 & !v0)",
+        "(v0 & !v1) | (!v0 & v1) | (v2 & !v2) | (v3 & !v3)",
+        "(v0 & !v1 & v4 & !v4) | (!v0 & v1) | (v5 & v0 & !v5)",
+    ]
+    for _ in range(300):
+        clauses = []
+        for _ in range(rng.randint(1, 6)):
+            lits = rng.sample(names, rng.randint(1, 4))
+            clauses.append(
+                "(" + " & ".join(v if rng.random() < 0.5 else "!" + v for v in lits) + ")"
+            )
+        texts.append(" | ".join(clauses))
+    texts += [random_expression(rng, names) for _ in range(100)]
+    non_unate = 0
+    for text in texts:
+        fn = normalize(parse_expression(text), index)
+        assert fn.primes.clauses == prime_oracle(fn), text
+        non_unate += not is_unate(fn)
+    assert non_unate > 100
+    assert normalize(parse_expression("v0 | !v0"), index).primes.is_true
+    assert normalize(parse_expression("0"), index).primes.is_false
 
 
 def test_support_is_sorted_tuple():
@@ -149,7 +184,7 @@ def test_normalize_three_node_example():
     index = {"x1": 0, "x2": 1, "x3": 2}
     fn = normalize(parse_expression("!(x1 & !x2) & !x3"), index)
     assert fn.dnf.clauses == (((0, 0), (2, 0)), ((1, 1), (2, 0)))
-    assert fn.unate
+    assert fn.primes is fn.dnf
 
 
 def test_normalization_cap():
@@ -157,36 +192,40 @@ def test_normalization_cap():
     text = " & ".join("(a%d | !a%d)" % (i, (i + 1) % 8) for i in range(8))
     with pytest.raises(NormalizationError):
         normalize(parse_expression(text), index, clause_cap=4)
-    # the cap covers not f too: f has 3 clauses and fits; building not f
-    # (6 clauses) takes 17 units of work
-    index = {name: i for i, name in enumerate("abcde")}
-    expr = parse_expression("(a & b) | (c & d) | (e & !a)")
+    # the cap covers the primes too: f has 3 clauses and fits; closing
+    # them under consensus (6 primes) takes 24 units of work
+    index = {name: i for i, name in enumerate("abc")}
+    expr = parse_expression("(a & !b) | (b & !c) | (c & !a)")
     assert len(_to_clauses(expr, index, True, 4)) == 3
-    for cap in (4, 16):
-        with pytest.raises(NormalizationError):
+    for cap in (4, 23):
+        with pytest.raises(NormalizationError, match="work cap"):
             normalize(expr, index, clause_cap=cap)
-    assert len(normalize(expr, index, clause_cap=17).neg.clauses) == 6
+    assert len(normalize(expr, index, clause_cap=24).primes.clauses) == 6
 
 
 def _chain_with_escape(k):
     """`(a0 & b0) | ... | (a{k-1} & b{k-1}) | (c & !a0)`: k + 1 clauses of f,
-    3 * 2^(k-1) clauses of not f."""
+    k + 2 primes (the consensus `b0 & c` is the new one)."""
     names = ["c"] + ["a%d" % i for i in range(k)] + ["b%d" % i for i in range(k)]
     text = " | ".join("(a%d & b%d)" % (i, i) for i in range(k)) + " | (c & !a0)"
     return parse_expression(text), {name: i for i, name in enumerate(names)}
 
 
-def test_negation_build_is_bounded_in_time():
-    # not f has 3 * 2^(k-1) clauses, none subsuming another: the build must
-    # not test them pairwise, and the work cap must end a larger one early.
-    expr, index = _chain_with_escape(13)
-    t0 = time.monotonic()
-    assert len(normalize(expr, index).neg.clauses) == 3 * 2**12
-    assert time.monotonic() - t0 < 10.0
+def test_primes_build_is_bounded_in_time():
+    # one clash: the primes stay few however many clauses f has
     expr, index = _chain_with_escape(20)
     t0 = time.monotonic()
+    assert len(normalize(expr, index).primes.clauses) == 22
+    assert time.monotonic() - t0 < 1.0
+    text, names = layered_expression(3, 5)
+    index = {name: i for i, name in enumerate(names)}
+    assert len(normalize(parse_expression(text), index).primes.clauses) == 1629
+    # a layer more and the work cap ends the build early
+    text, names = layered_expression(3, 6)
+    index = {name: i for i, name in enumerate(names)}
+    t0 = time.monotonic()
     with pytest.raises(NormalizationError, match="work cap"):
-        normalize(expr, index, clause_cap=20000)
+        normalize(parse_expression(text), index)
     assert time.monotonic() - t0 < 10.0
 
 
@@ -208,7 +247,7 @@ def test_dnf_matches_source_truth_table():
     rng = random.Random(11)
     names = ["v%d" % i for i in range(6)]
     index = {n: i for i, n in enumerate(names)}
-    # contradictory terms drop out of f, so not f must not read them either
+    # contradictory terms drop out of f, so its primes must not read them
     texts = [
         "(v0 & !v1) | (!v0 & v1) | (v2 & !v2) | (v3 & !v3)",
         "(v0 & !v1 & v4 & !v4) | (!v0 & v1) | (v5 & v0 & !v5)",
@@ -217,14 +256,12 @@ def test_dnf_matches_source_truth_table():
     for text in texts:
         expr = parse_expression(text)
         fn = normalize(expr, index)
-        if fn.neg is not None:
-            read = {comp for clause in fn.neg.clauses for comp, _ in clause}
-            assert read <= set(fn.support)
+        read = {comp for clause in fn.primes.clauses for comp, _ in clause}
+        assert read <= set(fn.support)
         for state in product((0, 1), repeat=len(names)):
             env = dict(zip(names, state))
             assert evaluate(fn, state) == _eval_ast(expr, env)
-            if fn.neg is not None:
-                assert _neg_value(fn, state) == 1 - evaluate(fn, state)
+            assert _primes_value(fn, state) == evaluate(fn, state)
 
 
 def _eval_ast(expr, env):
