@@ -7,6 +7,7 @@ bitmasks 1 ({0}), 2 ({1}) and 3 ({0,1}).
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -29,8 +30,16 @@ class Cube:
     values: tuple
 
     def __post_init__(self):
-        if not _VALUES.issuperset(self.values):
-            raise CubeError("cube values must be 0, 1 or FREE (%d)" % FREE)
+        """Store the values as a tuple of plain ints: any integer type (numpy
+        ints too) is taken through `operator.index`, and a float is refused."""
+        message = "cube values must be 0, 1 or FREE (%d)" % FREE
+        try:
+            values = tuple(map(operator.index, self.values))
+        except TypeError:
+            raise CubeError(message) from None
+        if not _VALUES.issuperset(values):
+            raise CubeError(message)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def full(cls, n):

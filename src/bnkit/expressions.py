@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import product
 
 
 class ExprSyntaxError(ValueError):
@@ -95,55 +96,51 @@ def _preorder(expr):
     return out
 
 
-_TOKEN_RE = re.compile(r"([A-Za-z0-9_]+)|([!&|()])|(\s+)|(.)")
-# operator symbols and words, by the symbol the parser dispatches on
-_OPERATORS = {"!": "!", "not": "!", "&": "&", "and": "&", "|": "|", "or": "|"}
+# Tokens, whitespace skipped; any other character is unexpected.
+_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[!&|()]")
+_UNEXPECTED_RE = re.compile(r"[^A-Za-z0-9_!&|()\s]")
 
 
-def _tokenize(text):
-    """(token, kind, line, column) tuples, ended by a None token.
-
-    kind is "!", "&" or "|" for an operator symbol or word, the token for a
-    parenthesis, and None for an identifier or a constant.
-    """
-    tokens = []
-    line, col = 1, 1
-    for match in _TOKEN_RE.finditer(text):
-        tok = match.group(0)
-        group = match.lastindex
-        if group == 1:
-            tokens.append((tok, _OPERATORS.get(tok.lower()), line, col))
-        elif group == 2:
-            tokens.append((tok, _OPERATORS.get(tok, tok), line, col))
-        elif group == 4:
-            raise ExprSyntaxError("unexpected character %r" % tok, line, col)
-        newlines = tok.count("\n") if group == 3 else 0
-        if newlines:
-            line += newlines
-            col = len(tok) - tok.rfind("\n")
-        else:
-            col += len(tok)
-    tokens.append((None, None, line, col))
-    return tokens
+def _spellings(word, value):
+    """{each spelling of word in any case: value}."""
+    return {"".join(chars): value for chars in product(*({c, c.upper()} for c in word))}
 
 
-def _atom(tok, line, col):
-    """A constant or identifier token; anything else is a syntax error."""
+# The symbol the parser dispatches on, for an operator symbol or word or a
+# parenthesis; identifiers and constants have none.
+_KINDS = {
+    "!": "!", "&": "&", "|": "|", "(": "(", ")": ")",
+    **_spellings("not", "!"), **_spellings("and", "&"), **_spellings("or", "|"),
+}
+_CONSTANTS = {
+    "0": Const(False), "1": Const(True),
+    **_spellings("false", Const(False)), **_spellings("true", Const(True)),
+}
+
+
+def _position(text, offset):
+    """(line, column) of a character offset, both counted from 1."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _syntax_error(message, text, at):
+    """The error at token `at` of the text (at its end, past the last token);
+    a second scan finds the token's offset."""
+    offsets = [match.start() for match in _TOKEN_RE.finditer(text)]
+    offsets.append(len(text))
+    return ExprSyntaxError(message, *_position(text, offsets[at]))
+
+
+def _operand_fault(tok):
+    """The message for a token read where an operand must start."""
     if tok is None:
-        raise ExprSyntaxError("unexpected end of expression", line, col)
-    if tok in "!&|)":
-        raise ExprSyntaxError("unexpected token %r" % tok, line, col)
-    low = tok.lower()
-    if low in ("1", "true"):
-        return Const(True)
-    if low in ("0", "false"):
-        return Const(False)
-    if low in ("and", "or", "not"):
-        raise ExprSyntaxError("reserved word %r used as identifier" % tok, line, col)
-    return Var(tok)
+        return "unexpected end of expression"
+    if tok in "&|)":
+        return "unexpected token %r" % tok
+    return "reserved word %r used as identifier" % tok
 
 
-def _parse(tokens):
+def _parse(text):
     """Recursive descent on an explicit stack, so nesting depth is unbounded.
 
     ``disjunction := conjunction (| conjunction)*``,
@@ -151,14 +148,18 @@ def _parse(tokens):
     ``atom := ( disjunction ) | constant | identifier``.  The state of the
     innermost open group is the arguments of its disjunction so far, those
     of its current conjunction, and the negations read before its next
-    atom; an open parenthesis pushes the enclosing group's state.
+    atom; an open parenthesis pushes the enclosing group's state.  The
+    tokens come from one regex scan, ended by a None token.
     """
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append(None)
     pos = 0
     stack = []
     ors, ands, nots = [], [], 0
     while True:
         # an operand: negations, then an open parenthesis or an atom
-        tok, kind, line, col = tokens[pos]
+        tok = tokens[pos]
+        kind = _KINDS.get(tok)
         pos += 1
         if kind == "!":
             nots += 1
@@ -167,13 +168,18 @@ def _parse(tokens):
             stack.append((ors, ands, nots))
             ors, ands, nots = [], [], 0
             continue
-        expr = _atom(tok, line, col)
+        if kind is not None or tok is None:
+            raise _syntax_error(_operand_fault(tok), text, pos - 1)
+        expr = _CONSTANTS.get(tok)
+        if expr is None:
+            expr = Var(tok)
         while True:
             for _ in range(nots):
                 expr = Not(expr)
             ands.append(expr)
             # an operator, or the end of the innermost group
-            tok, kind, line, col = tokens[pos]
+            tok = tokens[pos]
+            kind = _KINDS.get(tok)
             if kind == "&":
                 pos += 1
                 break
@@ -185,20 +191,29 @@ def _parse(tokens):
             expr = ors[0] if len(ors) == 1 else Or(tuple(ors))
             if not stack:
                 if tok is not None:
-                    raise ExprSyntaxError("unexpected token %r" % tok, line, col)
+                    raise _syntax_error("unexpected token %r" % tok, text, pos)
                 return expr
-            if tok != ")":
-                raise ExprSyntaxError("expected ')'", line, col)
+            if kind != ")":
+                raise _syntax_error("expected ')'", text, pos)
             pos += 1
             ors, ands, nots = stack.pop()
         nots = 0
 
 
 def parse_expression(text):
-    """Parse expression text into an AST.  No simplification is performed."""
+    """Parse expression text into an AST.  No simplification is performed.
+
+    Tokens carry no position; an error's line and column come from the
+    offset of the offending character or token.
+    """
     if not text or text.isspace():
         raise ExprSyntaxError("empty expression", 1, 1)
-    return _parse(_tokenize(text))
+    bad = _UNEXPECTED_RE.search(text)
+    if bad is not None:
+        raise ExprSyntaxError(
+            "unexpected character %r" % bad.group(), *_position(text, bad.start())
+        )
+    return _parse(text)
 
 
 def variables(expr):

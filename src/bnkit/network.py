@@ -11,8 +11,10 @@ of its values on a cube read from clauses.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 
 from .expressions import (
     RESERVED,
@@ -70,18 +72,14 @@ def _product(left, right, cap):
     for c1 in left:
         for c2 in right:
             merged = c1 | c2
-            ok = True
-            for comp, val in merged:
-                if (comp, 1 - val) in merged:
-                    ok = False
-                    break
-            if ok:
+            # contradictory iff two of its literals share a component
+            if len(dict(merged)) == len(merged):
                 out.add(merged)
                 if len(out) > cap:
                     raise NormalizationError(
                         "DNF clause count exceeded cap (%d)" % cap
                     )
-    return _prune(out)
+    return _prune(out) if len(out) > 1 else frozenset(out)
 
 
 def _to_clauses(expr, index, positive, cap):
@@ -94,11 +92,11 @@ def _to_clauses(expr, index, positive, cap):
     frames = []
     node = expr
     while True:
-        while isinstance(node, Not):
+        while type(node) is Not:
             node, positive = node.arg, not positive
-        if isinstance(node, Var):
+        if type(node) is Var:
             result = frozenset([frozenset([(index[node.name], 1 if positive else 0)])])
-        elif isinstance(node, Const):
+        elif type(node) is Const:
             result = _TRUE if node.value == positive else _FALSE
         else:
             frames.append((node, positive, [], iter(node.args)))
@@ -119,37 +117,32 @@ def _to_clauses(expr, index, positive, cap):
 def _combine(node, positive, parts, cap):
     """Clause set of an And or Or (negated unless positive) from its arguments'."""
     # And distributes over clause products when positive, unions when negated;
-    # Or is the dual.
-    if isinstance(node, And) == positive:
+    # Or is the dual.  Every part is pruned and free of contradictions, so
+    # the product of the constant-true set and a part within the cap is the part.
+    if (type(node) is And) == positive:
         acc = _TRUE
         for part in parts:
-            acc = _product(acc, part, cap)
+            acc = part if acc is _TRUE and len(part) <= cap else _product(acc, part, cap)
         return acc
     union = set()
     for part in parts:
         union.update(part)
         if len(union) > cap:
             raise NormalizationError("DNF clause count exceeded cap (%d)" % cap)
-    return _prune(union)
+    return _prune(union) if len(union) > 1 else frozenset(union)
 
 
 def _primes(dnf, cap):
-    """Prime implicants of a canonical DNF, as a canonical DNF.
+    """Prime implicants of a canonical DNF that is not unate, as a canonical DNF.
 
-    A unate DNF, none of whose clauses subsumes another, is its own primes
-    and is returned as it is.  Any other is closed under consensus (Quine):
+    (A unate DNF, none of whose clauses subsumes another, is its own
+    primes.)  The DNF is closed under consensus (Quine):
     two clauses that clash on one variable imply their union without it,
     and a clause that a kept one subsumes is dropped; the fixpoint keeps
     exactly the primes, over the DNF's support.  Literal indexes find the
     clashing partners and the subsumption candidates.  Every clause looked
     at counts against the cap, which so bounds the time of the build.
     """
-    signs = {}
-    for comp, val in chain.from_iterable(dnf.clauses):
-        if signs.setdefault(comp, val) != val:
-            break
-    else:
-        return dnf
     kept = set()
     holding = {}  # literal -> {kept clause holding it: None}
     heads = {}  # literal -> {kept clause whose least literal it is: None}
@@ -250,11 +243,20 @@ class NodeFunction:
 def normalize(expr, index, clause_cap=DEFAULT_CLAUSE_CAP):
     """Build the canonical NodeFunction for an expression.
 
-    The primes are built from the DNF of f, under the same cap.
+    The primes are built from the DNF of f, under the same cap.  One loop
+    over the clauses sorts them and gathers their literals, which give the
+    support and tell whether the DNF is unate (no component with both signs).
     """
-    dnf = _canonical(_to_clauses(expr, index, True, clause_cap))
-    support = tuple(sorted({comp for clause in dnf.clauses for comp, _ in clause}))
-    return NodeFunction(dnf, _primes(dnf, clause_cap), support)
+    clauses = []
+    literals = set()
+    for clause in _to_clauses(expr, index, True, clause_cap):
+        clauses.append(tuple(sorted(clause)))
+        literals |= clause
+    clauses.sort()
+    dnf = Dnf(tuple(clauses))
+    signs = dict(literals)
+    primes = dnf if len(signs) == len(literals) else _primes(dnf, clause_cap)
+    return NodeFunction(dnf, primes, tuple(sorted(signs)))
 
 
 def evaluate(fn, state):
@@ -286,20 +288,17 @@ class BooleanNetwork:
         self.functions = tuple(fn for _, fn in components)
         self.n = len(names)
         self.index = {name: i for i, name in enumerate(names)}
+        self.dependents = [[] for _ in range(self.n)]
         for i, fn in enumerate(self.functions):
             for comp in fn.support:
                 if comp >= self.n:
                     raise NetworkError(
                         "function of %r references undeclared component" % names[i]
                     )
-        self.dependents = [[] for _ in range(self.n)]
-        self.occ_count = [0] * self.n
-        for i, fn in enumerate(self.functions):
-            for comp in fn.support:
                 self.dependents[comp].append(i)
-            for clause in fn.dnf.clauses:
-                for comp, _ in clause:
-                    self.occ_count[comp] += 1
+        clauses = chain.from_iterable(fn.dnf.clauses for fn in self.functions)
+        counts = Counter(map(itemgetter(0), chain.from_iterable(clauses)))
+        self.occ_count = [counts[i] for i in range(self.n)]
 
     def __len__(self):
         return self.n
@@ -328,10 +327,20 @@ def _name_problem(name):
     return None
 
 
-def _first_undeclared(expr, index):
-    """First (sorted) name the expression references outside `index`."""
-    missing = [name for name in variables(expr) if name not in index]
-    return min(missing) if missing else None
+def _normalize_declared(expr, index, clause_cap):
+    """normalize(expr, index, clause_cap), where every name must be in `index`.
+
+    A name outside it raises KeyError in normalize.  Only then are the names
+    walked, for the first undeclared one in sorted order, which NetworkError
+    reports ahead of a NormalizationError of the same expression.
+    """
+    try:
+        return normalize(expr, index, clause_cap)
+    except (KeyError, NormalizationError):
+        missing = [name for name in variables(expr) if name not in index]
+        if not missing:
+            raise
+    raise NetworkError("undeclared component %r referenced" % min(missing))
 
 
 def parse_bnet(text, clause_cap=DEFAULT_CLAUSE_CAP):
@@ -369,11 +378,8 @@ def parse_bnet(text, clause_cap=DEFAULT_CLAUSE_CAP):
     for name, expr_text, lineno in entries:
         try:
             expr = parse_expression(expr_text)
-            undeclared = _first_undeclared(expr, index)
-            if undeclared is not None:
-                raise ParseError("undeclared component %r referenced" % undeclared, lineno)
-            components.append((name, normalize(expr, index, clause_cap)))
-        except ExprSyntaxError as exc:
+            components.append((name, _normalize_declared(expr, index, clause_cap)))
+        except (ExprSyntaxError, NetworkError) as exc:
             raise ParseError(str(exc), lineno) from exc
     return BooleanNetwork(components)
 
@@ -388,10 +394,7 @@ def set_function(net, name, expr_text, clause_cap=DEFAULT_CLAUSE_CAP):
         names.append(name)
     index = {n: i for i, n in enumerate(names)}
     expr = parse_expression(expr_text)
-    undeclared = _first_undeclared(expr, index)
-    if undeclared is not None:
-        raise NetworkError("undeclared component %r referenced" % undeclared)
-    fn = normalize(expr, index, clause_cap)
+    fn = _normalize_declared(expr, index, clause_cap)
     components = []
     for existing in net.names:
         if existing == name:

@@ -6,14 +6,15 @@ synchronous image stays inside the cube.
 """
 
 import random
+import re
 from collections import deque
 from itertools import product
 
 from bnkit import Cube, mp_successors, parse_bnet, solver, vertices
 from bnkit.cubes import is_trap_space
 from bnkit.dynamics import INC
-from bnkit.expressions import And, Const, Not, Var
-from bnkit.network import evaluate
+from bnkit.expressions import And, Const, ExprSyntaxError, Not, Or, Var, variables
+from bnkit.network import DEFAULT_CLAUSE_CAP, Dnf, _primes, evaluate
 
 
 def random_expression(rng, names):
@@ -34,13 +35,17 @@ def random_expression(rng, names):
     return " | ".join(clauses)
 
 
-def random_network(seed, n):
+def random_bnet_text(seed, n):
     rng = random.Random(seed)
     names = ["n%d" % i for i in range(n)]
     lines = ["targets, factors"]
     for name in names:
         lines.append("%s, %s" % (name, random_expression(rng, names)))
-    return parse_bnet("\n".join(lines))
+    return "\n".join(lines)
+
+
+def random_network(seed, n):
+    return parse_bnet(random_bnet_text(seed, n))
 
 
 def oracle_suite(count=200, sizes=(2, 3, 4, 5, 6, 7, 3, 4, 5, 7)):
@@ -321,3 +326,168 @@ def _maximal_trap_spaces(net, within=None):
             return
         yield trap
         emitted.append(trap)
+
+
+# Reference intake: a slower per-line path kept to check the library's.  A
+# positional tokenizer and the parser over its tokens build the AST, a
+# `variables` walk finds the names, and the DNF is built with a product
+# that always prunes, then canonicalized with separate walks for the
+# sorted clauses, the support and the unate test.
+_REF_TOKEN_RE = re.compile(r"([A-Za-z0-9_]+)|([!&|()])|(\s+)|(.)")
+_REF_OPERATORS = {"!": "!", "not": "!", "&": "&", "and": "&", "|": "|", "or": "|"}
+
+
+def _ref_tokenize(text):
+    """(token, kind, line, column) tuples, ended by a None token."""
+    tokens = []
+    line, col = 1, 1
+    for match in _REF_TOKEN_RE.finditer(text):
+        tok = match.group(0)
+        group = match.lastindex
+        if group == 1:
+            tokens.append((tok, _REF_OPERATORS.get(tok.lower()), line, col))
+        elif group == 2:
+            tokens.append((tok, _REF_OPERATORS.get(tok, tok), line, col))
+        elif group == 4:
+            raise ExprSyntaxError("unexpected character %r" % tok, line, col)
+        newlines = tok.count("\n") if group == 3 else 0
+        if newlines:
+            line += newlines
+            col = len(tok) - tok.rfind("\n")
+        else:
+            col += len(tok)
+    tokens.append((None, None, line, col))
+    return tokens
+
+
+def _ref_atom(tok, line, col):
+    if tok is None:
+        raise ExprSyntaxError("unexpected end of expression", line, col)
+    if tok in "!&|)":
+        raise ExprSyntaxError("unexpected token %r" % tok, line, col)
+    low = tok.lower()
+    if low in ("1", "true"):
+        return Const(True)
+    if low in ("0", "false"):
+        return Const(False)
+    if low in ("and", "or", "not"):
+        raise ExprSyntaxError("reserved word %r used as identifier" % tok, line, col)
+    return Var(tok)
+
+
+def reference_parse(text):
+    """The AST of expression text, as `parse_expression` must build it."""
+    if not text or text.isspace():
+        raise ExprSyntaxError("empty expression", 1, 1)
+    tokens = _ref_tokenize(text)
+    pos = 0
+    stack = []
+    ors, ands, nots = [], [], 0
+    while True:
+        tok, kind, line, col = tokens[pos]
+        pos += 1
+        if kind == "!":
+            nots += 1
+            continue
+        if kind == "(":
+            stack.append((ors, ands, nots))
+            ors, ands, nots = [], [], 0
+            continue
+        expr = _ref_atom(tok, line, col)
+        while True:
+            for _ in range(nots):
+                expr = Not(expr)
+            ands.append(expr)
+            tok, kind, line, col = tokens[pos]
+            if kind == "&":
+                pos += 1
+                break
+            ors.append(ands[0] if len(ands) == 1 else And(tuple(ands)))
+            ands = []
+            if kind == "|":
+                pos += 1
+                break
+            expr = ors[0] if len(ors) == 1 else Or(tuple(ors))
+            if not stack:
+                if tok is not None:
+                    raise ExprSyntaxError("unexpected token %r" % tok, line, col)
+                return expr
+            if tok != ")":
+                raise ExprSyntaxError("expected ')'", line, col)
+            pos += 1
+            ors, ands, nots = stack.pop()
+        nots = 0
+
+
+def _ref_prune(clauses):
+    kept = []
+    for clause in sorted(clauses, key=len):
+        if not any(other <= clause for other in kept):
+            kept.append(clause)
+    return frozenset(kept)
+
+
+def _ref_clauses(expr, index, positive):
+    """Clause set of expr (negated unless positive), recursively."""
+    while isinstance(expr, Not):
+        expr, positive = expr.arg, not positive
+    if isinstance(expr, Var):
+        return frozenset([frozenset([(index[expr.name], 1 if positive else 0)])])
+    if isinstance(expr, Const):
+        return frozenset([frozenset()]) if expr.value == positive else frozenset()
+    parts = [_ref_clauses(arg, index, positive) for arg in expr.args]
+    if isinstance(expr, And) == positive:
+        acc = frozenset([frozenset()])
+        for part in parts:
+            out = set()
+            for c1 in acc:
+                for c2 in part:
+                    merged = c1 | c2
+                    if not any((comp, 1 - val) in merged for comp, val in merged):
+                        out.add(merged)
+            acc = _ref_prune(out)
+        return acc
+    union = set()
+    for part in parts:
+        union.update(part)
+    return _ref_prune(union)
+
+
+def reference_normalize(expr, index):
+    """(dnf clauses, primes clauses, support) of an expression within the
+    default clause cap."""
+    clauses = tuple(sorted(tuple(sorted(c)) for c in _ref_clauses(expr, index, True)))
+    support = tuple(sorted({comp for clause in clauses for comp, _ in clause}))
+    signs = {}
+    unate = all(
+        signs.setdefault(comp, val) == val for clause in clauses for comp, val in clause
+    )
+    primes = clauses if unate else _primes(Dnf(clauses), DEFAULT_CLAUSE_CAP).clauses
+    return clauses, primes, support
+
+
+def reference_intake(text):
+    """(names, [(dnf, primes, support)], dependents, occ_count) of bnet text
+    with one `name, expression` per line and no error."""
+    entries = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            name, expr_text = (part.strip() for part in line.split(",", 1))
+            if entries or (name.lower(), expr_text.lower()) != ("targets", "factors"):
+                entries.append((name, expr_text))
+    index = {name: i for i, (name, _) in enumerate(entries)}
+    functions = []
+    for _, expr_text in entries:
+        expr = reference_parse(expr_text)
+        assert variables(expr) <= index.keys()
+        functions.append(reference_normalize(expr, index))
+    dependents = [[] for _ in entries]
+    occ_count = [0] * len(entries)
+    for i, (clauses, _, support) in enumerate(functions):
+        for comp in support:
+            dependents[comp].append(i)
+        for clause in clauses:
+            for comp, _ in clause:
+                occ_count[comp] += 1
+    return tuple(index), functions, dependents, occ_count

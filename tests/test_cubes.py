@@ -103,6 +103,38 @@ def test_cube_values_are_checked(example, values):
             use(Cube(values))
 
 
+class _Index:
+    """An integer-like value that only offers `__index__`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_cube_values_are_plain_ints(example):
+    # a float equal to 0, 1 or 2 is not an index: refused, not stored
+    for values in ((1.0, 2), (0, 1, 2.0)):
+        with pytest.raises(CubeError, match="cube values must be"):
+            Cube(values)
+    cube = Cube([_Index(0), _Index(2), True])
+    assert cube.values == (0, 2, 1)
+    assert all(type(v) is int for v in cube.values)
+    assert str(cube) == "0*1" and cube == Cube.parse("0*1", example.names)
+    assert closure(example, cube) == closure(example, Cube((0, 2, 1)))
+
+
+def test_cube_takes_numpy_ints(example):
+    np = pytest.importorskip("numpy")
+    cube = Cube(tuple(np.array([1, 2, 0], dtype=np.int64)))
+    assert cube.values == (1, 2, 0) and all(type(v) is int for v in cube.values)
+    assert str(cube) == "1*0"
+    assert closure(example, cube) == closure(example, Cube((1, 2, 0)))
+    with pytest.raises(CubeError):
+        Cube(tuple(np.array([1.0, 2.0])))
+
+
 def test_vertices():
     names = ("a", "b", "c")
     assert list(vertices(Cube.parse("01*", names))) == [(0, 1, 0), (0, 1, 1)]

@@ -1,0 +1,108 @@
+"""Model intake: exact error messages, and the same networks as a reference
+per-line path (tests/nettools.py) builds."""
+
+import random
+
+import pytest
+
+from bnkit import GenSpec, generate_bnet, parse_bnet, set_function
+from bnkit.expressions import ExprSyntaxError, parse_expression
+from bnkit.generator import FAMILIES
+from bnkit.network import NetworkError, NormalizationError, ParseError
+from nettools import (
+    oracle_suite,
+    random_bnet_text,
+    random_expression,
+    reference_intake,
+    reference_parse,
+)
+
+BASE = "a, a\nb, b\nc, c\n# a comment and a blank line\n\n"
+OVERFLOW = "(a | b) & (a | c) & (b | c)"  # 4 clauses before pruning: over a cap of 2
+
+# (expression, clause cap, message); the model puts the expression on line 6
+ERRORS = [
+    ("a $ b", None, "unexpected character '$' (line 1, column 3)"),
+    ("a & | b", None, "unexpected token '|' (line 1, column 5)"),
+    ("a b", None, "unexpected token 'b' (line 1, column 3)"),
+    ("a & !", None, "unexpected end of expression (line 1, column 6)"),
+    ("a & (b", None, "expected ')' (line 1, column 7)"),
+    ("(a | (b & c)", None, "expected ')' (line 1, column 13)"),
+    ("a & Or", None, "reserved word 'Or' used as identifier (line 1, column 5)"),
+    ("   ", None, "empty expression (line 1, column 1)"),
+    ("zz | b | yy", None, "undeclared component 'yy' referenced"),
+    ("yy & " + OVERFLOW, 2, "undeclared component 'yy' referenced"),
+    # the overflow comes before the name in the walk, yet the name is reported
+    ("(%s) & zz" % OVERFLOW, 2, "undeclared component 'zz' referenced"),
+]
+
+
+def _cap(cap):
+    return {} if cap is None else {"clause_cap": cap}
+
+
+@pytest.mark.parametrize("text, cap, message", ERRORS)
+def test_parse_bnet_error_messages(text, cap, message):
+    with pytest.raises(ParseError) as exc:
+        parse_bnet(BASE + "d, %s\n" % text, **_cap(cap))
+    assert str(exc.value) == "line 6: " + message
+    assert exc.value.line == 6
+
+
+@pytest.mark.parametrize("text, cap, message", ERRORS)
+def test_set_function_error_messages(text, cap, message):
+    kind = NetworkError if message.startswith("undeclared") else ExprSyntaxError
+    with pytest.raises(kind) as exc:
+        set_function(parse_bnet(BASE), "d", text, **_cap(cap))
+    assert str(exc.value) == message
+
+
+def test_error_position_on_a_later_line():
+    with pytest.raises(ExprSyntaxError) as exc:
+        set_function(parse_bnet(BASE), "a", "b &\n  & c")
+    assert str(exc.value) == "unexpected token '&' (line 2, column 3)"
+    assert (exc.value.line, exc.value.column) == (2, 3)
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expression("a |\r\n\n  !(b c)\t")
+    assert str(exc.value) == "expected ')' (line 3, column 7)"
+
+
+def test_cap_overflow_without_undeclared_names():
+    with pytest.raises(NormalizationError):
+        parse_bnet(BASE + "d, %s\n" % OVERFLOW, clause_cap=2)
+    with pytest.raises(NormalizationError):
+        set_function(parse_bnet(BASE), "d", OVERFLOW, clause_cap=2)
+
+
+def _assert_same_intake(text):
+    net = parse_bnet(text)
+    names, functions, dependents, occ_count = reference_intake(text)
+    assert net.names == names
+    assert [(fn.dnf.clauses, fn.primes.clauses, fn.support) for fn in net.functions] == (
+        functions
+    )
+    assert net.dependents == dependents
+    assert net.occ_count == occ_count
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_intake_matches_reference_on_generated_models(family):
+    _assert_same_intake(generate_bnet(GenSpec(n=1000, family=family, seed=5)))
+
+
+def test_intake_matches_reference_on_the_oracle_suite():
+    for seed, net in oracle_suite():
+        _assert_same_intake(random_bnet_text(seed, net.n))
+
+
+def test_intake_matches_reference_on_random_lines():
+    rng = random.Random(16)
+    names = ["v%d" % i for i in range(5)]
+    lines = [random_expression(rng, names) for _ in range(500)]
+    for line in lines:
+        assert parse_expression(line) == reference_parse(line)
+    for start in range(0, len(lines), len(names)):
+        chunk = lines[start:start + len(names)]
+        _assert_same_intake(
+            "".join("%s, %s\n" % pair for pair in zip(names, chunk))
+        )
