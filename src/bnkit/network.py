@@ -11,8 +11,10 @@ of its values on a cube read from clauses.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from dataclasses import dataclass
+from functools import wraps
 from itertools import chain
 from operator import itemgetter
 
@@ -82,8 +84,11 @@ def _product(left, right, cap):
     return _prune(out) if len(out) > 1 else frozenset(out)
 
 
-def _to_clauses(expr, index, positive, cap):
+def _to_clauses(expr, literals, positive, cap):
     """Clause sets of expr (positive=True) or its negation (positive=False).
+
+    A leaf takes its literal from `literals` (see `normalize`), so the
+    clauses share the table's literal objects.
 
     A depth-first walk on an explicit stack, so nesting depth is unbounded.
     Each open And or Or holds its arguments' clause sets so far and an
@@ -95,7 +100,7 @@ def _to_clauses(expr, index, positive, cap):
         while type(node) is Not:
             node, positive = node.arg, not positive
         if type(node) is Var:
-            result = frozenset([frozenset([(index[node.name], 1 if positive else 0)])])
+            result = frozenset([frozenset([literals[node.name][positive]])])
         elif type(node) is Const:
             result = _TRUE if node.value == positive else _FALSE
         else:
@@ -202,7 +207,7 @@ def _primes(dnf, cap):
     return dnf if kept == set(initial) else _canonical(kept)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dnf:
     clauses: tuple
 
@@ -240,22 +245,42 @@ class NodeFunction:
         return "NodeFunction(%s)" % (self.dnf.clauses,)
 
 
-def normalize(expr, index, clause_cap=DEFAULT_CLAUSE_CAP):
+def _literal_table(index):
+    """Map each name of `index` to its literals: (value 0, value 1)."""
+    return {name: ((i, 0), (i, 1)) for name, i in index.items()}
+
+
+def normalize(expr, index, clause_cap=DEFAULT_CLAUSE_CAP, literals=None):
     """Build the canonical NodeFunction for an expression.
+
+    Every name in expr must be in `index`; the first undeclared one in
+    sorted order raises NetworkError, ahead of a NormalizationError of the
+    same expression.  The clauses hold the literal objects of `literals`
+    (built from `index` when not given), so the functions normalized with
+    one table share one object per literal.
 
     The primes are built from the DNF of f, under the same cap.  One loop
     over the clauses sorts them and gathers their literals, which give the
     support and tell whether the DNF is unate (no component with both signs).
     """
-    clauses = []
-    literals = set()
-    for clause in _to_clauses(expr, index, True, clause_cap):
-        clauses.append(tuple(sorted(clause)))
-        literals |= clause
-    clauses.sort()
-    dnf = Dnf(tuple(clauses))
-    signs = dict(literals)
-    primes = dnf if len(signs) == len(literals) else _primes(dnf, clause_cap)
+    if literals is None:
+        literals = _literal_table(index)
+    try:
+        clauses = []
+        used = set()
+        for clause in _to_clauses(expr, literals, True, clause_cap):
+            clauses.append(tuple(sorted(clause)))
+            used |= clause
+        clauses.sort()
+        dnf = Dnf(tuple(clauses))
+        signs = dict(used)
+        primes = dnf if len(signs) == len(used) else _primes(dnf, clause_cap)
+    except (KeyError, NormalizationError):
+        # only a failed build walks the names
+        missing = [name for name in variables(expr) if name not in index]
+        if not missing:
+            raise
+        raise NetworkError("undeclared component %r referenced" % min(missing)) from None
     return NodeFunction(dnf, primes, tuple(sorted(signs)))
 
 
@@ -327,22 +352,33 @@ def _name_problem(name):
     return None
 
 
-def _normalize_declared(expr, index, clause_cap):
-    """normalize(expr, index, clause_cap), where every name must be in `index`.
+def _intake(parse):
+    """Run `parse` with automatic cyclic garbage collection paused.
 
-    A name outside it raises KeyError in normalize.  Only then are the names
-    walked, for the first undeclared one in sorted order, which NetworkError
-    reports ahead of a NormalizationError of the same expression.
+    Intake makes no reference cycles: its AST nodes, clause sets and tuples
+    are freed by reference counting, so collector passes during it walk a
+    heap that grows with the model and free nothing.  On exit, by return or
+    by raise, one young-generation pass takes the objects intake allocated,
+    so that traversal is not left to whatever runs next, and collection is
+    switched back on.  A caller that had switched collection off sees no
+    pass, and collection stays off.
     """
-    try:
-        return normalize(expr, index, clause_cap)
-    except (KeyError, NormalizationError):
-        missing = [name for name in variables(expr) if name not in index]
-        if not missing:
-            raise
-    raise NetworkError("undeclared component %r referenced" % min(missing))
+
+    @wraps(parse)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return parse(*args, **kwargs)
+        gc.disable()
+        try:
+            return parse(*args, **kwargs)
+        finally:
+            gc.collect(0)
+            gc.enable()
+
+    return paused
 
 
+@_intake
 def parse_bnet(text, clause_cap=DEFAULT_CLAUSE_CAP):
     """Parse BooleanNet-format text into a network.
 
@@ -373,17 +409,19 @@ def parse_bnet(text, clause_cap=DEFAULT_CLAUSE_CAP):
             raise ParseError("duplicate component name %r" % name, lineno)
         seen.add(name)
     index = {name: i for i, name in enumerate(names)}
+    literals = _literal_table(index)
 
     components = []
     for name, expr_text, lineno in entries:
         try:
             expr = parse_expression(expr_text)
-            components.append((name, _normalize_declared(expr, index, clause_cap)))
+            components.append((name, normalize(expr, index, clause_cap, literals)))
         except (ExprSyntaxError, NetworkError) as exc:
             raise ParseError(str(exc), lineno) from exc
     return BooleanNetwork(components)
 
 
+@_intake
 def set_function(net, name, expr_text, clause_cap=DEFAULT_CLAUSE_CAP):
     """Return a new network with the named function replaced or added."""
     names = list(net.names)
@@ -394,7 +432,7 @@ def set_function(net, name, expr_text, clause_cap=DEFAULT_CLAUSE_CAP):
         names.append(name)
     index = {n: i for i, n in enumerate(names)}
     expr = parse_expression(expr_text)
-    fn = _normalize_declared(expr, index, clause_cap)
+    fn = normalize(expr, index, clause_cap)
     components = []
     for existing in net.names:
         if existing == name:

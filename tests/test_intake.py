@@ -1,11 +1,13 @@
-"""Model intake: exact error messages, and the same networks as a reference
-per-line path (tests/nettools.py) builds."""
+"""Model intake: exact error messages, the same networks as a reference
+per-line path (tests/nettools.py) builds, the collector left as intake
+found it and one shared object per literal."""
 
+import gc
 import random
 
 import pytest
 
-from bnkit import GenSpec, generate_bnet, parse_bnet, set_function
+from bnkit import GenSpec, generate_bnet, normalize, parse_bnet, set_function
 from bnkit.expressions import ExprSyntaxError, parse_expression
 from bnkit.generator import FAMILIES
 from bnkit.network import NetworkError, NormalizationError, ParseError
@@ -54,6 +56,17 @@ def test_set_function_error_messages(text, cap, message):
     kind = NetworkError if message.startswith("undeclared") else ExprSyntaxError
     with pytest.raises(kind) as exc:
         set_function(parse_bnet(BASE), "d", text, **_cap(cap))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, cap, message",
+    [e for e in ERRORS if e[2].startswith("undeclared")]
+    + [("a | q", None, "undeclared component 'q' referenced")],
+)
+def test_normalize_reports_undeclared_names(text, cap, message):
+    with pytest.raises(NetworkError) as exc:
+        normalize(parse_expression(text), {"a": 0, "b": 1, "c": 2}, **_cap(cap))
     assert str(exc.value) == message
 
 
@@ -106,3 +119,68 @@ def test_intake_matches_reference_on_random_lines():
         _assert_same_intake(
             "".join("%s, %s\n" % pair for pair in zip(names, chunk))
         )
+
+
+# (entry point, arguments, raises): each one succeeding and failing
+INTAKE_CALLS = [
+    (parse_bnet, (BASE + "d, a & !b\n",), None),
+    (parse_bnet, (BASE + "d, a & (b\n",), ParseError),
+    (set_function, (parse_bnet(BASE), "d", "a | !c"), None),
+    (set_function, (parse_bnet(BASE), "d", "a | zz"), NetworkError),
+]
+
+
+def _passes():
+    return [stats["collections"] for stats in gc.get_stats()]
+
+
+def _intake_call(entry, args, raises):
+    if raises is None:
+        entry(*args)
+    else:
+        with pytest.raises(raises):
+            entry(*args)
+
+
+@pytest.mark.parametrize("entry, args, raises", INTAKE_CALLS)
+def test_intake_runs_one_young_pass_and_switches_collection_back_on(entry, args, raises):
+    assert gc.isenabled()
+    gc.collect()  # no automatic pass is due before the call
+    before = _passes()
+    _intake_call(entry, args, raises)
+    after = _passes()
+    assert gc.isenabled()
+    assert [a - b for a, b in zip(after, before)] == [1, 0, 0]
+
+
+@pytest.mark.parametrize("entry, args, raises", INTAKE_CALLS)
+def test_intake_leaves_switched_off_collection_alone(entry, args, raises):
+    gc.disable()
+    try:
+        before = _passes()
+        _intake_call(entry, args, raises)
+        assert not gc.isenabled()
+        assert _passes() == before
+    finally:
+        gc.enable()
+
+
+# consensus adds primes to the DNFs of a and b
+CONSENSUS_MODEL = "a, (a & b) | (!a & c)\nb, (a & !b) | (b & c) | !c\nc, (a & !b) | (!a & b)\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [generate_bnet(GenSpec(n=200, family=family, seed=1)) for family in FAMILIES]
+    + [CONSENSUS_MODEL],
+    ids=list(FAMILIES) + ["consensus"],
+)
+def test_parsed_model_shares_one_object_per_literal(text):
+    net = parse_bnet(text)
+    first = {}
+    for fn in net.functions:
+        for dnf in (fn.dnf, fn.primes):
+            for clause in dnf.clauses:
+                for literal in clause:
+                    assert first.setdefault(literal, literal) is literal
+    assert len(first) > 2

@@ -10,6 +10,7 @@ from bnkit.network import (
     NetworkError,
     NormalizationError,
     ParseError,
+    _literal_table,
     _to_clauses,
     evaluate,
     normalize,
@@ -196,7 +197,7 @@ def test_normalization_cap():
     # them under consensus (6 primes) takes 24 units of work
     index = {name: i for i, name in enumerate("abc")}
     expr = parse_expression("(a & !b) | (b & !c) | (c & !a)")
-    assert len(_to_clauses(expr, index, True, 4)) == 3
+    assert len(_to_clauses(expr, _literal_table(index), True, 4)) == 3
     for cap in (4, 23):
         with pytest.raises(NormalizationError, match="work cap"):
             normalize(expr, index, clause_cap=cap)
