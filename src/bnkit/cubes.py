@@ -206,12 +206,13 @@ def eval_on_cube(fn, cube):
     return frozenset(v for v in (0, 1) if mask & (1 << v))
 
 
-def closure(net, cube, pinned=()):
+def closure(net, cube, pinned=(), clock=None):
     """Smallest trap space containing the cube (percolation fixpoint).
 
     Repeatedly adds any achievable function value to its component; each
     addition wakes only the functions whose support contains the component.
     Components in ``pinned`` are never woken and keep their value in the cube.
+    A ``clock`` (the solver's deadline) is polled once per dequeued component.
     """
     if len(cube.values) != net.n:
         raise CubeError("expected %d values, got %d" % (net.n, len(cube.values)))
@@ -225,6 +226,8 @@ def closure(net, cube, pinned=()):
     functions = net.functions
     dependents = net.dependents
     while pending:
+        if clock is not None:
+            clock.poll()
         i = pending.popleft()
         queued[i] = False
         new = eval_mask(functions[i], values) & ~masks[i]

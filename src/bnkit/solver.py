@@ -26,11 +26,10 @@ every cube below (above) an admitted one, so each answer is extremal
 among all trap spaces in `within` (the full cube aside, for maximal
 ones).  When `within` is itself a trap space, the first minimal one is
 reached by descent from it instead, which is much faster on large
-networks: closures of states, each reached by synchronous simulation
-from the candidate's all-0 vertex, then certification per feedback SCC
-by searching for a strictly smaller trap space; the search for the rest
-starts with its disjointness clause.  The solver is deterministic: it
-draws no random numbers.
+networks: the closure of the state that synchronous simulation reaches
+from its all-0 vertex, then certification per feedback SCC by a search
+for a strictly smaller trap space; the search for the rest starts with
+its disjointness clause.  The solver draws no random numbers.
 
 Searches for minimal trap spaces prune by the minimality condition: if S
 is subset-minimal and f_i is constant c on S, then i is not free in S,
@@ -54,7 +53,7 @@ from .cubes import FREE, Cube, closure, eval_mask, is_trap_space
 from .network import evaluate
 
 _DEADLINE_STRIDE = 512
-_SIM_STEPS = 60  # synchronous steps of a descent round
+_SIM_STEPS = 60  # synchronous steps of the descent's simulation
 
 
 class SolverTimeout(Exception):
@@ -819,18 +818,15 @@ def _certify_smaller(net, trap, clock):
 def _minimize_trap(net, trap, clock):
     """Descend to a subset-minimal trap space inside the given one.
 
-    Only the first answer inside a `within` that is a trap space comes
-    from here, for speed: every search answer is minimal as it stands.
+    Heuristic phase, one round: the closure of the state that synchronous
+    simulation reaches from the candidate's all-0 vertex.  Only the first
+    answer inside a `within` that is a trap space comes from here, for
+    speed: every search answer is minimal as it stands.
     """
-    # Heuristic phase: the closure of the state reached by synchronous
-    # simulation from the candidate's all-0 vertex, while that shrinks it.
-    while not trap.is_state:
+    if not trap.is_state:
         start = tuple(v if v != FREE else 0 for v in trap.values)
         state = _simulate(net, start, _SIM_STEPS, clock)
-        smaller = closure(net, Cube.from_state(state))
-        if smaller == trap:
-            break
-        trap = smaller
+        trap = closure(net, Cube.from_state(state), clock=clock)
     # Exact phase: percolate determined components down, then look for a
     # fixable feedback component; repeat until certified minimal.
     while not trap.is_state:

@@ -11,7 +11,7 @@ from collections import deque
 from itertools import product
 
 from bnkit import Cube, mp_successors, parse_bnet, solver, vertices
-from bnkit.cubes import is_trap_space
+from bnkit.cubes import FREE, is_trap_space
 from bnkit.dynamics import INC
 from bnkit.expressions import And, Const, ExprSyntaxError, Not, Or, Var, variables
 from bnkit.network import DEFAULT_CLAUSE_CAP, Dnf, _primes, evaluate
@@ -326,6 +326,24 @@ def _maximal_trap_spaces(net, within=None):
             return
         yield trap
         emitted.append(trap)
+
+
+def is_minimal_trap(net, trap, deadline=None):
+    """Certify a trap space subset-minimal with one plain search.
+
+    A FREE-last `_trap_search` inside `trap` pins the fixed components,
+    lets the free ones take 0, 1 or FREE and requires one of them fixed:
+    any answer is a trap space strictly inside `trap`.  Unlike the
+    descent's certification it neither splits the free subnetwork into
+    feedback components nor filters their domains first.
+    """
+    clock = solver._Deadline(deadline)
+    free = [i for i, v in enumerate(trap.values) if v == FREE]
+    if not free:
+        return True
+    allowed = [{0, 1, FREE} if v == FREE else {v} for v in trap.values]
+    strict = [[(i, {0, 1}) for i in free]]
+    return next(solver._trap_search(net, allowed, strict, False, clock), None) is None
 
 
 # Reference intake: a slower per-line path kept to check the library's.  A
