@@ -33,7 +33,7 @@ from .cubes import (
     eval_mask,
     subcube_codes,
 )
-from .solver import minimal_trap_spaces
+from .solver import _Deadline, minimal_trap_spaces
 
 INC = 2
 DEC = 3
@@ -325,11 +325,13 @@ def attractors(net, reachable_from=None, limit=None, deadline=None):
     """Most-permissive attractors, i.e. minimal trap spaces.
 
     With ``reachable_from``, only the attractors inside the closure of
-    that state (exactly the mp-reachable ones) are produced.
+    that state (exactly the mp-reachable ones) are produced.  The state is
+    checked and the closure taken at the call, under the deadline.
     """
     within = None
     if reachable_from is not None:
-        within = closure(net, Cube.from_state(_binary_state(net, reachable_from)))
+        start = Cube.from_state(_binary_state(net, reachable_from))
+        within = closure(net, start, clock=_Deadline(deadline))
     return minimal_trap_spaces(net, within=within, limit=limit, deadline=deadline)
 
 

@@ -27,9 +27,11 @@ among all trap spaces in `within` (the full cube aside, for maximal
 ones).  When `within` is itself a trap space, the first minimal one is
 reached by descent from it instead, which is much faster on large
 networks: the closure of the state that synchronous simulation reaches
-from its all-0 vertex, then certification per feedback SCC by a search
-for a strictly smaller trap space; the search for the rest starts with
-its disjointness clause.  The solver draws no random numbers.
+from its all-0 vertex, then one pass over the strongly connected
+components of its free subnetwork, regulators first, that percolates
+each and searches what stays free for a strictly smaller trap space;
+the search for the rest starts with its disjointness clause.  The
+solver draws no random numbers.
 
 Searches for minimal trap spaces prune by the minimality condition: if S
 is subset-minimal and f_i is constant c on S, then i is not free in S,
@@ -38,7 +40,7 @@ of the assigned values, which contains every answer below, this makes a
 free component with a constant function a conflict and forces an
 unassigned one to the constant, wherever its domain admits it.  It needs
 every clause of the search to lack literals that admit FREE, as
-disjointness clauses and certification's strictness clause do; see
+disjointness clauses and the descent's strictness clause do; see
 ``_trap_search``.
 """
 
@@ -148,7 +150,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
     not minimal: S with i fixed to c is a trap space (f_i is c on it, and
     every other f_j stays constant on a subcube), and it satisfies every
     clause S does, because no clause has a literal that admits FREE.
-    ``_disjoint_clause`` and certification's ``strict`` clause have none;
+    ``_disjoint_clause`` and the descent's strictness clause have none;
     this is the precondition of the rule.  So a FREE i is a conflict,
     resting on i and on its assigned regulators, and an unassigned i is
     forced to c, resting on its assigned regulators; its closedness then
@@ -612,11 +614,12 @@ def _simulate(net, state, steps, clock):
 
 
 def _free_sccs(net, free_set, clock):
-    """Strongly connected components of the influence graph on `free_set`.
+    """Strongly connected components of the influence graph on `free_set`,
+    regulators first.
 
-    Only components that can sustain a feedback (size > 1, or a single
-    node with a self-loop) are returned.  The clock is polled once per
-    depth-first search root.
+    Tarjan's algorithm closes a component only after every component it
+    reaches, so it lists dependents first; the list is returned reversed.
+    The clock is polled once per depth-first search root.
     """
     succs = {i: [t for t in net.dependents[i] if t in free_set] for i in free_set}
     index = {}
@@ -658,49 +661,45 @@ def _free_sccs(net, free_set, clock):
                     scc.append(w)
                     if w == node:
                         break
-                if len(scc) > 1 or node in succs[node]:
-                    sccs.append(scc)
+                sccs.append(scc)
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
+    sccs.reverse()
     return sccs
 
 
-def _percolate_down(net, trap, clock):
-    """Fix every free component whose evaluation on the cube is already
-    determined, to fixpoint; the result is a trap space inside `trap`."""
-    values = list(trap.values)
-    queue = [i for i, v in enumerate(values) if v == FREE]
+def _percolate_down(net, values, scc_set, clock):
+    """Fix, to fixpoint, every free member of `scc_set` whose function is
+    constant on `values` (updated in place); each fix keeps `values` a
+    trap space.  Returns the members left free."""
+    queue = [i for i in scc_set if values[i] == FREE]
     pending = set(queue)
-    changed = False
     while queue:
         clock.poll()
         i = queue.pop()
         pending.discard(i)
-        if values[i] != FREE:
-            continue
         mask = eval_mask(net.functions[i], values)
         if mask == 3:
             continue
         values[i] = 0 if mask == 1 else 1
-        changed = True
         for t in net.dependents[i]:
-            if values[t] == FREE and t not in pending:
+            if t in scc_set and values[t] == FREE and t not in pending:
                 pending.add(t)
                 queue.append(t)
-    return Cube(tuple(values)) if changed else trap
+    return {i for i in scc_set if values[i] == FREE}
 
 
-def _scc_value_domains(net, trap, scc_set, clock):
+def _scc_value_domains(net, values, scc_set, clock):
     """Values each feedback component could take in a strict sub-trap.
 
     Greatest fixpoint of the necessary conditions: fixing a component to
     1 needs some prime implicant whose literals can all become fixed true,
     fixing to 0 needs every clause to be blockable by a fixed-false
-    literal; components outside the feedback set keep their
-    candidate-trap value (free ones stay free).  Each surviving value is
-    then probed with its opposite removed, which enforces consistency of
-    the component itself; a value that cannot support itself this way is
+    literal; components outside the feedback set keep their value in
+    `values` (free ones stay free).  Each surviving value is then probed
+    with its opposite removed, which enforces consistency of the
+    component itself; a value that cannot support itself this way is
     discarded.
 
     The fixpoint is computed by worklist propagation (AC-3): a component
@@ -709,7 +708,6 @@ def _scc_value_domains(net, trap, scc_set, clock):
     matter.  A probe records its removals and undoes them afterwards.
     """
     functions = net.functions
-    outside = trap.values
     readers = {c: [j for j in net.dependents[c] if j in scc_set] for c in scc_set}
 
     def supported(j, v, domains):
@@ -719,7 +717,7 @@ def _scc_value_domains(net, trap, scc_set, clock):
                     if c in scc_set:
                         if val not in domains[c]:
                             break
-                    elif outside[c] != val:
+                    elif values[c] != val:
                         break
                 else:
                     return True
@@ -729,7 +727,7 @@ def _scc_value_domains(net, trap, scc_set, clock):
                 if c in scc_set:
                     if 1 - val in domains[c]:
                         break
-                elif outside[c] == 1 - val:
+                elif values[c] == 1 - val:
                     break
             else:
                 return False
@@ -783,38 +781,6 @@ def _scc_value_domains(net, trap, scc_set, clock):
     return master
 
 
-def _certify_smaller(net, trap, clock):
-    """A trap space strictly inside `trap`, or None if `trap` is minimal.
-
-    A strict sub-trap must fix some component; taking one in a
-    topologically first strongly connected component of the free
-    subnetwork, all its regulators outside that component stay free, so
-    searching each feedback component in isolation is complete.
-    """
-    free_set = {i for i, v in enumerate(trap.values) if v == FREE}
-    for scc in sorted(_free_sccs(net, free_set, clock), key=len):
-        scc_set = set(scc)
-        domains = _scc_value_domains(net, trap, scc_set, clock)
-        fixable = {i: domains[i] for i in sorted(scc_set)}
-        if not any(fixable.values()):
-            continue
-        allowed = []
-        for i, v in enumerate(trap.values):
-            if v != FREE:
-                allowed.append({v})
-            elif i in scc_set:
-                allowed.append(fixable[i] | {FREE})
-            else:
-                allowed.append({FREE})
-        strict = [[(i, vals) for i, vals in fixable.items() if vals]]
-        found = next(
-            _trap_search(net, allowed, strict, False, clock, scope=scc_set), None
-        )
-        if found is not None:
-            return found
-    return None
-
-
 def _minimize_trap(net, trap, clock):
     """Descend to a subset-minimal trap space inside the given one.
 
@@ -822,21 +788,48 @@ def _minimize_trap(net, trap, clock):
     simulation reaches from the candidate's all-0 vertex.  Only the first
     answer inside a `within` that is a trap space comes from here, for
     speed: every search answer is minimal as it stands.
+
+    Exact phase: one pass over the strongly connected components of the
+    free subnetwork, regulators first.  Each is percolated; if more than
+    one member stays free, or one with a self-loop, the domain filter and
+    a FREE-last search scoped to them look for a trap space fixing one,
+    and its first answer replaces the current values.
+
+    The pass is exact: a member's function reads only its own component
+    and earlier ones, which are final when the pass reaches it.  Say a
+    trap space U lies strictly inside the result T, and C is the first
+    component where U fixes a member that T leaves free.  U agrees with T
+    before C, so U with every later component freed is a trap space (the
+    candidate's fixed components are constant on it) inside the values
+    that percolation left at C.  A lone free member without a self-loop
+    reads no free member of C, and its function is not constant there, so
+    no trap space fixes it.  Otherwise the filter keeps U's values and the
+    search admits U, but a search that finds nothing admits nothing, and
+    its first answer, which T keeps on C, has no admitted trap space
+    strictly inside it.
     """
     if not trap.is_state:
         start = tuple(v if v != FREE else 0 for v in trap.values)
         state = _simulate(net, start, _SIM_STEPS, clock)
         trap = closure(net, Cube.from_state(state), clock=clock)
-    # Exact phase: percolate determined components down, then look for a
-    # fixable feedback component; repeat until certified minimal.
-    while not trap.is_state:
-        clock.check_now()
-        trap = _percolate_down(net, trap, clock)
-        found = _certify_smaller(net, trap, clock)
-        if found is None:
-            return trap
-        trap = found
-    return trap
+    values = list(trap.values)
+    free_set = {i for i, v in enumerate(values) if v == FREE}
+    for scc in _free_sccs(net, free_set, clock):
+        free = _percolate_down(net, values, set(scc), clock)
+        if len(free) < 2 and not any(i in net.dependents[i] for i in free):
+            continue
+        domains = _scc_value_domains(net, values, free, clock)
+        fixable = [(i, domains[i]) for i in sorted(free) if domains[i]]
+        if not fixable:
+            continue
+        allowed = [{v} for v in values]
+        for i in free:
+            allowed[i] = domains[i] | {FREE}
+        search = _trap_search(net, allowed, [fixable], False, clock, scope=free)
+        found = next(search, None)
+        if found is not None:
+            values = list(found.values)
+    return Cube(tuple(values))
 
 
 def _minimal_stream(net, within, clock):

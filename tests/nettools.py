@@ -216,16 +216,16 @@ def _mp_reachable_states(net, start):
 
 # Full-sweep reference for the worklist `solver._scc_value_domains`: every
 # refinement sweeps the whole SCC and every probe copies the domains.
-def _scc_value_domains(net, trap, scc_set, clock):
+def _scc_value_domains(net, values, scc_set, clock):
     """Values each feedback component could take in a strict sub-trap.
 
     Greatest fixpoint of the necessary conditions: fixing a component to
     1 needs some prime implicant whose literals can all become fixed true,
     fixing to 0 needs every clause to be blockable by a fixed-false
-    literal; components outside the feedback set keep their
-    candidate-trap value (free ones stay free).  Each surviving value is
-    then probed with its opposite removed, which enforces consistency of
-    the component itself; a value that cannot support itself this way is
+    literal; components outside the feedback set keep their value in
+    `values` (free ones stay free).  Each surviving value is then probed
+    with its opposite removed, which enforces consistency of the
+    component itself; a value that cannot support itself this way is
     discarded.
     """
 
@@ -246,7 +246,7 @@ def _scc_value_domains(net, trap, scc_set, clock):
                                 if val not in domains[c]:
                                     good = False
                                     break
-                            elif trap.values[c] != val:
+                            elif values[c] != val:
                                 good = False
                                 break
                         if good:
@@ -264,7 +264,7 @@ def _scc_value_domains(net, trap, scc_set, clock):
                                 if 1 - val in domains[c]:
                                     blocked = True
                                     break
-                            elif trap.values[c] == 1 - val:
+                            elif values[c] == 1 - val:
                                 blocked = True
                                 break
                         if not blocked:
@@ -344,6 +344,23 @@ def is_minimal_trap(net, trap, deadline=None):
     allowed = [{0, 1, FREE} if v == FREE else {v} for v in trap.values]
     strict = [[(i, {0, 1}) for i in free]]
     return next(solver._trap_search(net, allowed, strict, False, clock), None) is None
+
+
+def is_maximal_trap(net, trap, deadline=None):
+    """Certify a trap space subset-maximal, the full cube aside, with one
+    plain search.
+
+    A FREE-first `_trap_search` lets each fixed component of `trap` keep
+    its value or be FREE and keeps the free ones FREE; one clause asks
+    for a fixed component made FREE, another for one kept fixed.  Any
+    answer is a trap space strictly containing `trap` other than the full
+    cube.
+    """
+    clock = solver._Deadline(deadline)
+    fixed = [(i, v) for i, v in enumerate(trap.values) if v != FREE]
+    allowed = [{v, FREE} if v != FREE else {FREE} for v in trap.values]
+    clauses = [[(i, {FREE}) for i, _ in fixed], [(i, {v}) for i, v in fixed]]
+    return next(solver._trap_search(net, allowed, clauses, True, clock), None) is None
 
 
 # Reference intake: a slower per-line path kept to check the library's.  A

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from collections import deque
 from itertools import product
 
@@ -8,9 +9,12 @@ import pytest
 
 from bnkit import (
     Cube,
+    GenSpec,
+    SolverTimeout,
     attractors,
     build_stg,
     closure,
+    generate_bnet,
     influence_graph,
     minimal_trap_spaces,
     mp_successors,
@@ -435,6 +439,14 @@ def test_attractors_reachable_from_matches_explicit():
             reach = _mp_reachable_states(net, state)
             expected = {t for t in mins if any(t.contains(y) for y in reach)}
             assert set(attractors(net, reachable_from=state)) == expected
+
+
+def test_reachable_attractors_closure_polls_the_clock():
+    # the closure of the start state is taken at the call, so an expired
+    # deadline ends it there, before the stream is read
+    net = parse_bnet(generate_bnet(GenSpec(n=2000, seed=0)))
+    with pytest.raises(SolverTimeout):
+        attractors(net, reachable_from=(0,) * net.n, deadline=time.monotonic() - 1.0)
 
 
 def test_mp_projected_stg(example):

@@ -21,11 +21,13 @@ from nettools import (
     _minimal_trap_spaces as restart_min,
     _scc_value_domains as sweep,
     image_table,
+    is_maximal_trap,
     is_minimal_trap,
     oracle_fixed_points,
     oracle_maximal_traps,
     oracle_minimal_traps,
     oracle_suite,
+    oracle_trap_spaces,
     random_network,
 )
 
@@ -369,9 +371,9 @@ def domains_checked(monkeypatch):
     seen = []
     worklist = solver._scc_value_domains
 
-    def checked(net, trap, scc_set, clock):
-        got = worklist(net, trap, scc_set, clock)
-        assert got == sweep(net, trap, scc_set, solver._Deadline(None))
+    def checked(net, values, scc_set, clock):
+        got = worklist(net, values, scc_set, clock)
+        assert got == sweep(net, values, scc_set, solver._Deadline(None))
         seen.append(frozenset(scc_set))
         return got
 
@@ -472,6 +474,45 @@ def test_first_min_is_certified_minimal(family, seed):
     assert is_minimal_trap(net, trap, deadline=time.monotonic() + 10.0)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_descent_filters_each_component_once(family, monkeypatch):
+    # The descent's exact phase is one pass over the free SCCs, regulators
+    # first, so it filters each component at most once.
+    filtered = []
+    worklist = solver._scc_value_domains
+
+    def counted(net, values, scc_set, clock):
+        filtered[-1].extend(scc_set)
+        return worklist(net, values, scc_set, clock)
+
+    monkeypatch.setattr(solver, "_scc_value_domains", counted)
+    for seed in range(10):
+        filtered.append([])
+        next(minimal_trap_spaces(generated(family, seed)))
+    assert all(len(comps) == len(set(comps)) for comps in filtered)
+    assert sum(map(len, filtered)) > 0
+
+
+def test_maximality_certificate_matches_oracle():
+    checked = 0
+    for _seed, net in oracle_suite():
+        table = image_table(net)
+        maximal = oracle_maximal_traps(net, table=table)
+        for trap in oracle_trap_spaces(net, table=table):
+            if trap != Cube.full(net.n):
+                assert is_maximal_trap(net, trap) == (trap in maximal)
+                checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("seed", range(10))
+def test_first_max_is_certified_maximal(family, seed):
+    net = generated(family, seed)
+    trap = next(maximal_trap_spaces(net))
+    assert is_maximal_trap(net, trap, deadline=time.monotonic() + 10.0)
+
+
 # The reproducers below ran past their deadline with chronological
 # backtracking; each gets 10 s so that a regression fails instead of hanging.
 
@@ -503,12 +544,16 @@ def test_second_min_at_300_reproducers(family, seed):
     assert len(traps) == 1 or traps[0].intersect(traps[1]) is None
 
 
-def test_certify_full_cube_inhibitor_dominant_reproducer():
+def test_certify_full_cube_inhibitor_dominant_reproducer(monkeypatch):
+    # The exact phase alone, run from the full cube: the simulation's
+    # closure is replaced by it.  Certifying the full cube of this net
+    # once ran past its deadline.
     net = generated("inhibitor-dominant", 1275114242)
-    full = Cube.full(net.n)
+    monkeypatch.setattr(solver, "closure", lambda net, cube, clock: Cube.full(net.n))
     clock = solver._Deadline(time.monotonic() + 10.0)
-    found = solver._certify_smaller(net, full, clock)
-    assert found is not None and found != full and is_trap_space(net, found)
+    found = solver._minimize_trap(net, Cube.full(net.n), clock)
+    assert found != Cube.full(net.n) and is_trap_space(net, found)
+    assert is_minimal_trap(net, found, deadline=time.monotonic() + 10.0)
 
 
 @pytest.mark.parametrize(
