@@ -9,6 +9,7 @@ are enforced cooperatively by the solver's deadline checks.
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass
@@ -68,7 +69,9 @@ def run_suite(suite_dir, problem, timeout, jobs=1):
     paths = sorted(Path(suite_dir).glob("*.bnet"))
     if jobs <= 1:
         return [run_model(p, problem, timeout) for p in paths]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
         futures = [pool.submit(run_model, p, problem, timeout) for p in paths]
         return [f.result() for f in futures]
 

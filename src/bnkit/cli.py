@@ -143,6 +143,10 @@ def _cmd_generate(args, out):
 
 
 def _cmd_bench(args, out):
+    if args.jobs < 1:
+        raise UsageError("--jobs must be >= 1")
+    if not args.timeout > 0:
+        raise UsageError("--timeout must be > 0")
     if not Path(args.suite).is_dir():
         raise UsageError("suite directory %s not found" % args.suite)
     records = bench_mod.run_suite(args.suite, args.problem, args.timeout, args.jobs)

@@ -5,6 +5,16 @@ Grammar: identifiers ``[A-Za-z0-9_]+`` (excluding reserved words), unary
 constants ``0``/``1``/``true``/``false``.  Word operators and constants are
 case-insensitive.  Precedence: ``!`` binds tighter than ``&``, which binds
 tighter than ``|``.
+
+One scanner, `_scan`, reads expression text for two builders.  It calls
+its builder at each leaf, conjunction, disjunction and group close, and
+the builder decides what these make.  `_Tree`, the default of
+`parse_expression`, makes the AST below; the network module passes a
+clause builder, so that model intake goes from text to clause sets with
+no tree in between.  The scanner also tracks the polarity of the
+negations in force: an open parenthesis read after an odd number of
+``!`` starts a group that is built negated, so a builder that can negate
+its leaves (clause sets, by De Morgan) never negates a built value.
 """
 
 from __future__ import annotations
@@ -140,22 +150,37 @@ def _operand_fault(tok):
     return "reserved word %r used as identifier" % tok
 
 
-def _parse(text):
+def _scan(text, builder):
     """Recursive descent on an explicit stack, so nesting depth is unbounded.
 
     ``disjunction := conjunction (| conjunction)*``,
     ``conjunction := unary (& unary)*``, ``unary := ! unary | atom`` and
     ``atom := ( disjunction ) | constant | identifier``.  The state of the
-    innermost open group is the arguments of its disjunction so far, those
-    of its current conjunction, and the negations read before its next
-    atom; an open parenthesis pushes the enclosing group's state.  The
-    tokens come from one regex scan, ended by a None token.
+    innermost open group is the built arguments of its disjunction so far,
+    those of its current conjunction, the negations read before its next
+    operand, and its polarity: 1 when an even number of negations is in
+    force over the group, else 0.  An open parenthesis pushes the
+    enclosing group's state, and the new group's polarity is the enclosing
+    one flipped once per negation read before the parenthesis.  The tokens
+    come from one regex scan, ended by a None token.
+
+    The builder is called as:
+
+    - ``var(name, nots, positive)`` and ``const(node, nots, positive)`` at
+      a leaf read after `nots` negations; `positive` is the polarity in
+      force at the leaf, its group's flipped once per negation;
+    - ``conj(parts, positive)`` and ``disj(parts, positive)`` for a
+      conjunction or disjunction of two or more parts, with the group's
+      polarity;
+    - ``close(value, nots)`` for a group read after `nots` > 0 negations,
+      once it closes.
     """
+    var, const, conj, disj = builder.var, builder.const, builder.conj, builder.disj
     tokens = _TOKEN_RE.findall(text)
     tokens.append(None)
     pos = 0
     stack = []
-    ors, ands, nots = [], [], 0
+    ors, ands, nots, positive = [], [], 0, 1
     while True:
         # an operand: negations, then an open parenthesis or an atom
         tok = tokens[pos]
@@ -165,17 +190,18 @@ def _parse(text):
             nots += 1
             continue
         if kind == "(":
-            stack.append((ors, ands, nots))
-            ors, ands, nots = [], [], 0
+            stack.append((ors, ands, nots, positive))
+            ors, ands, positive = [], [], positive ^ (nots & 1)
+            nots = 0
             continue
         if kind is not None or tok is None:
             raise _syntax_error(_operand_fault(tok), text, pos - 1)
-        expr = _CONSTANTS.get(tok)
-        if expr is None:
-            expr = Var(tok)
+        node = _CONSTANTS.get(tok)
+        if node is None:
+            expr = var(tok, nots, positive ^ (nots & 1))
+        else:
+            expr = const(node, nots, positive ^ (nots & 1))
         while True:
-            for _ in range(nots):
-                expr = Not(expr)
             ands.append(expr)
             # an operator, or the end of the innermost group
             tok = tokens[pos]
@@ -183,12 +209,12 @@ def _parse(text):
             if kind == "&":
                 pos += 1
                 break
-            ors.append(ands[0] if len(ands) == 1 else And(tuple(ands)))
+            ors.append(ands[0] if len(ands) == 1 else conj(ands, positive))
             ands = []
             if kind == "|":
                 pos += 1
                 break
-            expr = ors[0] if len(ors) == 1 else Or(tuple(ors))
+            expr = ors[0] if len(ors) == 1 else disj(ors, positive)
             if not stack:
                 if tok is not None:
                     raise _syntax_error("unexpected token %r" % tok, text, pos)
@@ -196,15 +222,48 @@ def _parse(text):
             if kind != ")":
                 raise _syntax_error("expected ')'", text, pos)
             pos += 1
-            ors, ands, nots = stack.pop()
+            ors, ands, nots, positive = stack.pop()
+            if nots:
+                expr = builder.close(expr, nots)
         nots = 0
 
 
-def parse_expression(text):
-    """Parse expression text into an AST.  No simplification is performed.
+def _negated(expr, nots):
+    for _ in range(nots):
+        expr = Not(expr)
+    return expr
 
-    Tokens carry no position; an error's line and column come from the
-    offset of the offending character or token.
+
+class _Tree:
+    """The AST builder: each leaf and group under its own `Not` nodes, one
+    per negation read, and one `And` or `Or` node per operator chain.  The
+    tree keeps the negations as written, so polarity is not used."""
+
+    @staticmethod
+    def var(name, nots, positive):
+        return _negated(Var(name), nots)
+
+    @staticmethod
+    def const(node, nots, positive):
+        return _negated(node, nots)
+
+    @staticmethod
+    def conj(parts, positive):
+        return And(tuple(parts))
+
+    @staticmethod
+    def disj(parts, positive):
+        return Or(tuple(parts))
+
+    close = staticmethod(_negated)
+
+
+def parse_expression(text, builder=_Tree):
+    """Parse expression text; by default into an AST, with no simplification.
+
+    `builder` makes the result (see `_scan`).  Every syntax error is raised
+    here, whatever the builder.  Tokens carry no position; an error's line
+    and column come from the offset of the offending character or token.
     """
     if not text or text.isspace():
         raise ExprSyntaxError("empty expression", 1, 1)
@@ -213,7 +272,7 @@ def parse_expression(text):
         raise ExprSyntaxError(
             "unexpected character %r" % bad.group(), *_position(text, bad.start())
         )
-    return _parse(text)
+    return _scan(text, builder)
 
 
 def variables(expr):

@@ -24,7 +24,6 @@ from .expressions import (
     Const,
     ExprSyntaxError,
     Not,
-    Or,
     Var,
     parse_expression,
     variables,
@@ -84,25 +83,107 @@ def _product(left, right, cap):
     return _prune(out) if len(out) > 1 else frozenset(out)
 
 
-def _to_clauses(expr, literals, positive, cap):
-    """Clause sets of expr (positive=True) or its negation (positive=False).
+def _conjoin(parts, cap):
+    """Clause set of the conjunction of clause sets, by products in order."""
+    # Every part is pruned and free of contradictions, so the product of the
+    # constant-true set and a part within the cap is the part.
+    acc = _TRUE
+    for part in parts:
+        acc = part if acc is _TRUE and len(part) <= cap else _product(acc, part, cap)
+    return acc
 
-    A leaf takes its literal from `literals` (see `normalize`), so the
-    clauses share the table's literal objects.
+
+def _disjoin(parts, cap):
+    """Clause set of the disjunction of clause sets: their pruned union."""
+    union = set()
+    for part in parts:
+        union.update(part)
+        if len(union) > cap:
+            raise NormalizationError("DNF clause count exceeded cap (%d)" % cap)
+    return _prune(union) if len(union) > 1 else frozenset(union)
+
+
+def _literal_table(index):
+    """Map each name of `index` to its literals: (value 0, value 1)."""
+    return {name: ((i, 0), (i, 1)) for name, i in index.items()}
+
+
+class _NetworkLiterals(dict):
+    """`_literal_table(index)` for a network's names and any new ones, made
+    as names are looked up: a literal that a clause of the network holds is
+    that object, found among the functions reading its component, so new
+    clauses share it.  An undeclared name raises KeyError."""
+
+    def __init__(self, net, index):
+        super().__init__()
+        self.net = net
+        self.index = index
+
+    def __missing__(self, name):
+        comp = self.index[name]
+        pair = [(comp, 0), (comp, 1)]
+        for reader in self.net.dependents[comp] if comp < self.net.n else ():
+            for clause in self.net.functions[reader].dnf.clauses:
+                for literal in clause:
+                    if literal[0] == comp:
+                        pair[literal[1]] = literal
+        pair = self[name] = tuple(pair)
+        return pair
+
+
+class _Clauses:
+    """The clause builder that `parse_expression`'s scanner and `_to_clauses`
+    drive: the clause set of each part, negated when its polarity is 0.
+
+    A leaf is the singleton clause set of its literal from `literals` (see
+    `_literal_table`), so one builder's functions share one object per
+    literal.  The sets are made per leaf: one kept per literal would hold
+    about 0.4 kB for the whole model.  Under polarity 1 a conjunction is the
+    product of its parts' sets and a disjunction their pruned union; under
+    polarity 0 the two swap (De Morgan).  A closing group's set is final.
+    Products and unions past the cap raise NormalizationError.
+    """
+
+    __slots__ = ("literals", "cap")
+
+    def __init__(self, literals, cap):
+        self.literals = literals
+        self.cap = cap
+
+    def var(self, name, nots, positive):
+        return frozenset([frozenset([self.literals[name][positive]])])
+
+    def const(self, node, nots, positive):
+        return _TRUE if node.value == positive else _FALSE
+
+    def conj(self, parts, positive):
+        return _conjoin(parts, self.cap) if positive else _disjoin(parts, self.cap)
+
+    def disj(self, parts, positive):
+        return _disjoin(parts, self.cap) if positive else _conjoin(parts, self.cap)
+
+    def close(self, clauses, nots):
+        return clauses
+
+
+def _to_clauses(expr, builder):
+    """Clause set of an AST, made by a clause builder as the scanner would.
 
     A depth-first walk on an explicit stack, so nesting depth is unbounded.
-    Each open And or Or holds its arguments' clause sets so far and an
-    iterator over the rest; it is combined once the iterator runs out.
+    A `Not` flips the polarity on the way down.  Each open And or Or holds
+    its arguments' clause sets so far and an iterator over the rest; it is
+    built once the iterator runs out.
     """
     frames = []
     node = expr
+    positive = 1
     while True:
         while type(node) is Not:
-            node, positive = node.arg, not positive
+            node, positive = node.arg, 1 - positive
         if type(node) is Var:
-            result = frozenset([frozenset([literals[node.name][positive]])])
+            result = builder.var(node.name, 0, positive)
         elif type(node) is Const:
-            result = _TRUE if node.value == positive else _FALSE
+            result = builder.const(node, 0, positive)
         else:
             frames.append((node, positive, [], iter(node.args)))
             result = None
@@ -114,27 +195,10 @@ def _to_clauses(expr, literals, positive, cap):
             if node is not None:
                 break
             frames.pop()
-            result = _combine(top, positive, parts, cap)
+            join = builder.conj if type(top) is And else builder.disj
+            result = join(parts, positive)
         else:
             return result
-
-
-def _combine(node, positive, parts, cap):
-    """Clause set of an And or Or (negated unless positive) from its arguments'."""
-    # And distributes over clause products when positive, unions when negated;
-    # Or is the dual.  Every part is pruned and free of contradictions, so
-    # the product of the constant-true set and a part within the cap is the part.
-    if (type(node) is And) == positive:
-        acc = _TRUE
-        for part in parts:
-            acc = part if acc is _TRUE and len(part) <= cap else _product(acc, part, cap)
-        return acc
-    union = set()
-    for part in parts:
-        union.update(part)
-        if len(union) > cap:
-            raise NormalizationError("DNF clause count exceeded cap (%d)" % cap)
-    return _prune(union) if len(union) > 1 else frozenset(union)
 
 
 def _primes(dnf, cap):
@@ -245,43 +309,62 @@ class NodeFunction:
         return "NodeFunction(%s)" % (self.dnf.clauses,)
 
 
-def _literal_table(index):
-    """Map each name of `index` to its literals: (value 0, value 1)."""
-    return {name: ((i, 0), (i, 1)) for name, i in index.items()}
+def _node_function(clause_set, cap):
+    """The canonical NodeFunction of a clause set.
+
+    One loop over the clauses sorts them and gathers their literals, which
+    give the support and tell whether the DNF is unate (no component with
+    both signs).  The primes are built from the DNF of f, under the same cap.
+    """
+    clauses = []
+    used = set()
+    for clause in clause_set:
+        clauses.append(tuple(sorted(clause)))
+        used |= clause
+    clauses.sort()
+    dnf = Dnf(tuple(clauses))
+    signs = dict(used)
+    primes = dnf if len(signs) == len(used) else _primes(dnf, cap)
+    return NodeFunction(dnf, primes, tuple(sorted(signs)))
 
 
-def normalize(expr, index, clause_cap=DEFAULT_CLAUSE_CAP, literals=None):
+def _check_declared(expr, index):
+    """Raise NetworkError for the first name of expr, in sorted order, that
+    `index` lacks."""
+    missing = [name for name in variables(expr) if name not in index]
+    if missing:
+        raise NetworkError("undeclared component %r referenced" % min(missing)) from None
+
+
+def normalize(expr, index, clause_cap=DEFAULT_CLAUSE_CAP):
     """Build the canonical NodeFunction for an expression.
 
     Every name in expr must be in `index`; the first undeclared one in
     sorted order raises NetworkError, ahead of a NormalizationError of the
-    same expression.  The clauses hold the literal objects of `literals`
-    (built from `index` when not given), so the functions normalized with
-    one table share one object per literal.
-
-    The primes are built from the DNF of f, under the same cap.  One loop
-    over the clauses sorts them and gathers their literals, which give the
-    support and tell whether the DNF is unate (no component with both signs).
+    same expression.
     """
-    if literals is None:
-        literals = _literal_table(index)
+    clauses = _Clauses(_literal_table(index), clause_cap)
     try:
-        clauses = []
-        used = set()
-        for clause in _to_clauses(expr, literals, True, clause_cap):
-            clauses.append(tuple(sorted(clause)))
-            used |= clause
-        clauses.sort()
-        dnf = Dnf(tuple(clauses))
-        signs = dict(used)
-        primes = dnf if len(signs) == len(used) else _primes(dnf, clause_cap)
+        return _node_function(_to_clauses(expr, clauses), clause_cap)
     except (KeyError, NormalizationError):
         # only a failed build walks the names
-        missing = [name for name in variables(expr) if name not in index]
-        if not missing:
-            raise
-        raise NetworkError("undeclared component %r referenced" % min(missing)) from None
-    return NodeFunction(dnf, primes, tuple(sorted(signs)))
+        _check_declared(expr, index)
+        raise
+
+
+def _read_function(text, index, clauses):
+    """The canonical NodeFunction of expression text, scanned straight into
+    clause sets by the clause builder `clauses`.
+
+    Only a failed build parses the text into a tree, so that it fails as
+    `normalize` would: with the syntax error, else with the first
+    undeclared name, else with the build's own error.
+    """
+    try:
+        return _node_function(parse_expression(text, clauses), clauses.cap)
+    except (KeyError, NormalizationError):
+        _check_declared(parse_expression(text), index)
+        raise
 
 
 def evaluate(fn, state):
@@ -355,7 +438,7 @@ def _name_problem(name):
 def _intake(parse):
     """Run `parse` with automatic cyclic garbage collection paused.
 
-    Intake makes no reference cycles: its AST nodes, clause sets and tuples
+    Intake makes no reference cycles: its clause sets and tuples
     are freed by reference counting, so collector passes during it walk a
     heap that grows with the model and free nothing.  On exit, by return or
     by raise, one young-generation pass takes the objects intake allocated,
@@ -409,13 +492,12 @@ def parse_bnet(text, clause_cap=DEFAULT_CLAUSE_CAP):
             raise ParseError("duplicate component name %r" % name, lineno)
         seen.add(name)
     index = {name: i for i, name in enumerate(names)}
-    literals = _literal_table(index)
+    clauses = _Clauses(_literal_table(index), clause_cap)
 
     components = []
     for name, expr_text, lineno in entries:
         try:
-            expr = parse_expression(expr_text)
-            components.append((name, normalize(expr, index, clause_cap, literals)))
+            components.append((name, _read_function(expr_text, index, clauses)))
         except (ExprSyntaxError, NetworkError) as exc:
             raise ParseError(str(exc), lineno) from exc
     return BooleanNetwork(components)
@@ -431,8 +513,8 @@ def set_function(net, name, expr_text, clause_cap=DEFAULT_CLAUSE_CAP):
             raise NetworkError(problem)
         names.append(name)
     index = {n: i for i, n in enumerate(names)}
-    expr = parse_expression(expr_text)
-    fn = normalize(expr, index, clause_cap)
+    clauses = _Clauses(_NetworkLiterals(net, index), clause_cap)
+    fn = _read_function(expr_text, index, clauses)
     components = []
     for existing in net.names:
         if existing == name:

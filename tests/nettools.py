@@ -35,6 +35,23 @@ def random_expression(rng, names):
     return " | ".join(clauses)
 
 
+def random_nested_expression(rng, names, depth=6):
+    """Random expression of groups nested at most `depth` deep, for the
+    scanner's polarity: groups under `!`, `!!`, `not` and `!not`, negated
+    leaves and constants, and word operators in mixed case."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.1:
+            leaf = rng.choice(["0", "1", "true", "FALSE", "True", "false"])
+        else:
+            leaf = rng.choice(names)
+        return rng.choice(["", "", "!", "!!", "not ", "NOT "]) + leaf
+    text = random_nested_expression(rng, names, depth - 1)
+    for _ in range(rng.randint(1, 2)):
+        op = rng.choice(["&", "|", "and", "AND", "or", "Or"])
+        text += " %s %s" % (op, random_nested_expression(rng, names, depth - 1))
+    return rng.choice(["", "!", "!!", "!!!", "not ", "Not ", "!not "]) + "(" + text + ")"
+
+
 def random_bnet_text(seed, n):
     rng = random.Random(seed)
     names = ["n%d" % i for i in range(n)]

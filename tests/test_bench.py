@@ -63,13 +63,23 @@ def test_cumulative_summary():
     assert "completed" in summary
 
 
-def test_jobs_parallel(tmp_path):
+def test_jobs_parallel(tmp_path, monkeypatch):
     suite = write_suite(tmp_path)
     serial = bench.run_suite(suite, "fix", 30.0)
+    methods = []
+    pool = bench.concurrent.futures.ProcessPoolExecutor
+
+    def spied(*args, **kwargs):
+        methods.append(kwargs["mp_context"].get_start_method())
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(bench.concurrent.futures, "ProcessPoolExecutor", spied)
     parallel = bench.run_suite(suite, "fix", 30.0, jobs=2)
+    assert methods == ["spawn"]
     assert [(r.model, r.status) for r in serial] == [
         (r.model, r.status) for r in parallel
     ]
+    assert [r.status for r in parallel] == ["ok", "ok", "error"]
 
 
 def test_unexpected_error_is_an_error_row(tmp_path, monkeypatch):

@@ -247,6 +247,9 @@ def test_bad_within(model):
     assert code == 1
 
 
+BENCH = ("bench", "--suite", ".", "--problem", "fix")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -259,6 +262,11 @@ def test_bad_within(model):
         (("reach", "MODEL", "000", "11"), "expected a binary state of length 3"),
         (("stg", "MODEL", "--restrict", "a=2"), "invalid value '2' for 'a'"),
         (("generate", "--nodes", "0"), "n must be >= 1"),
+        (BENCH + ("--jobs", "-3"), "--jobs must be >= 1"),
+        (BENCH + ("--jobs", "0"), "--jobs must be >= 1"),
+        (BENCH + ("--timeout", "-1"), "--timeout must be > 0"),
+        (BENCH + ("--timeout", "0"), "--timeout must be > 0"),
+        (BENCH + ("--timeout", "nan"), "--timeout must be > 0"),
     ],
 )
 def test_usage_error_message(model, argv, message):

@@ -2,20 +2,23 @@
 per-line path (tests/nettools.py) builds, the collector left as intake
 found it and one shared object per literal."""
 
+import functools
 import gc
 import random
 
 import pytest
 
 from bnkit import GenSpec, generate_bnet, normalize, parse_bnet, set_function
-from bnkit.expressions import ExprSyntaxError, parse_expression
+from bnkit.expressions import And, Const, ExprSyntaxError, Not, Or, Var, parse_expression
 from bnkit.generator import FAMILIES
 from bnkit.network import NetworkError, NormalizationError, ParseError
 from nettools import (
     oracle_suite,
     random_bnet_text,
     random_expression,
+    random_nested_expression,
     reference_intake,
+    reference_normalize,
     reference_parse,
 )
 
@@ -121,6 +124,47 @@ def test_intake_matches_reference_on_random_lines():
         )
 
 
+def test_intake_matches_reference_on_nested_lines():
+    # negated groups at every depth: the scanner's polarity, both entry points
+    rng = random.Random(22)
+    names = ["v%d" % i for i in range(5)]
+    index = {name: i for i, name in enumerate(names)}
+    lines = [random_nested_expression(rng, names) for _ in range(2000)]
+    for line in lines:
+        assert parse_expression(line) == reference_parse(line)
+    for start in range(0, len(lines), len(names)):
+        chunk = lines[start:start + len(names)]
+        _assert_same_intake(
+            "".join("%s, %s\n" % pair for pair in zip(names, chunk))
+        )
+    base = parse_bnet("".join("%s, %s\n" % (name, name) for name in names))
+    for i, line in enumerate(lines):
+        name = names[i % len(names)]
+        fn = set_function(base, name, line).functions[index[name]]
+        expected = reference_normalize(reference_parse(line), index)
+        assert (fn.dnf.clauses, fn.primes.clauses, fn.support) == expected
+
+
+def test_intake_builds_no_tree(monkeypatch):
+    made = []
+
+    def counting(init):
+        def counted(self, *args):
+            made.append(type(self).__name__)
+            init(self, *args)
+
+        return counted
+
+    for node_type in (Var, Const, Not, And, Or):
+        monkeypatch.setattr(node_type, "__init__", counting(node_type.__init__))
+    for family in FAMILIES:
+        net = parse_bnet(generate_bnet(GenSpec(n=1000, family=family, seed=5)))
+        net = set_function(net, "x001", "!(x002 & !x003) | not (x004 | 1)")
+    assert made == []
+    parse_expression("!(a | b)")  # the counting sees a tree being built
+    assert made == ["Var", "Var", "Or", "Not"]
+
+
 # (entry point, arguments, raises): each one succeeding and failing
 INTAKE_CALLS = [
     (parse_bnet, (BASE + "d, a & !b\n",), None),
@@ -169,14 +213,39 @@ def test_intake_leaves_switched_off_collection_alone(entry, args, raises):
 CONSENSUS_MODEL = "a, (a & b) | (!a & c)\nb, (a & !b) | (b & c) | !c\nc, (a & !b) | (!a & b)\n"
 
 
-@pytest.mark.parametrize(
-    "text",
-    [generate_bnet(GenSpec(n=200, family=family, seed=1)) for family in FAMILIES]
-    + [CONSENSUS_MODEL],
-    ids=list(FAMILIES) + ["consensus"],
-)
-def test_parsed_model_shares_one_object_per_literal(text):
+EDITED_MODEL = "a, b & !c\nb, a | c\nc, !a\n"
+
+
+def _edited(text, *edits):
     net = parse_bnet(text)
+    for name, expr_text in edits:
+        net = set_function(net, name, expr_text)
+    return net
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        functools.partial(parse_bnet, generate_bnet(GenSpec(n=200, family=family, seed=1)))
+        for family in FAMILIES
+    ]
+    + [
+        functools.partial(parse_bnet, CONSENSUS_MODEL),
+        # an edit reads literals other functions hold, and one no clause held
+        functools.partial(_edited, EDITED_MODEL, ("c", "a & b")),
+        functools.partial(_edited, EDITED_MODEL, ("a", "!b | c"), ("d", "!d & (a | !c)")),
+        functools.partial(_edited, CONSENSUS_MODEL, ("c", "(a & !b) | (b & c) | !c")),
+        functools.partial(
+            _edited,
+            generate_bnet(GenSpec(n=200, family=FAMILIES[1], seed=1)),
+            ("x010", "!(x011 & !x012) | x013"),
+        ),
+    ],
+    ids=list(FAMILIES)
+    + ["consensus", "edited", "edited-twice", "edited-consensus", "edited-generated"],
+)
+def test_parsed_model_shares_one_object_per_literal(build):
+    net = build()
     first = {}
     for fn in net.functions:
         for dnf in (fn.dnf, fn.primes):

@@ -10,6 +10,7 @@ from bnkit.network import (
     NetworkError,
     NormalizationError,
     ParseError,
+    _Clauses,
     _literal_table,
     _to_clauses,
     evaluate,
@@ -101,6 +102,22 @@ def test_deep_nesting_parses():
         assert net.functions[1].dnf.clauses == (((0, 1),),)
         net = set_function(parse_bnet(EXAMPLE), "a", "!" * (depth + 1) + "b")
         assert net.functions[0].dnf.clauses == (((1, 0),),)
+    # a group under each `!`: the polarity flips at every open parenthesis
+    index = {"a": 0, "b": 1}
+    for depth, clauses in ((5000, (((0, 1), (1, 0)),)), (5001, (((0, 0),), ((1, 1),)))):
+        text = "!(" * depth + "a & !b" + ")" * depth
+        expected = normalize(parse_expression(text), index)
+        assert expected.dnf.clauses == clauses
+        for net in (
+            parse_bnet("a, %s\nb, b\n" % text),
+            set_function(parse_bnet("a, a\nb, b\n"), "a", text),
+        ):
+            fn = net.functions[0]
+            assert (fn.dnf, fn.primes, fn.support) == (
+                expected.dnf,
+                expected.primes,
+                expected.support,
+            )
     net = parse_bnet(_nested_canalizing_chain(400))
     fn = net.functions[-1]
     assert fn.support == tuple(range(400))
@@ -197,7 +214,7 @@ def test_normalization_cap():
     # them under consensus (6 primes) takes 24 units of work
     index = {name: i for i, name in enumerate("abc")}
     expr = parse_expression("(a & !b) | (b & !c) | (c & !a)")
-    assert len(_to_clauses(expr, _literal_table(index), True, 4)) == 3
+    assert len(_to_clauses(expr, _Clauses(_literal_table(index), 4))) == 3
     for cap in (4, 23):
         with pytest.raises(NormalizationError, match="work cap"):
             normalize(expr, index, clause_cap=cap)
