@@ -30,7 +30,7 @@ class GenSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.gamma < 0:
+        if not self.gamma >= 0:  # nan too
             raise ValueError("gamma must be >= 0")
         if self.family not in FAMILIES:
             raise ValueError("unknown function family %r" % self.family)

@@ -103,14 +103,14 @@ def _start(net, within, limit, deadline):
     return within, clock
 
 
-def _branch_order(net):
-    return sorted(range(net.n), key=lambda i: (-net.occ_count[i], i))
+def _branch_order(net, scope):
+    return sorted(scope, key=lambda i: (-net.occ_count[i], i))
 
 
 # ---------------------------------------------------------------------------
 # Trap space search engine
 
-_UNASSIGNED = -1
+_UNASSIGNED = 3
 
 
 def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block=None):
@@ -135,13 +135,13 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
     A fixed component's check reads clauses whatever its support: value 0
     needs every clause of f dead, value 1 some prime implicant of f fully
     true.  An unassigned component's check evaluates f on the upper-bound
-    cube (the assigned 0/1 values, FREE elsewhere), and in a FREE-first
-    search waits for a complete support if the component may be FREE.  A
-    component none of whose regulators may be FREE is two-valued; only the
-    other fixed components, bar those that the minimality rule below
-    fixed, steer branching towards completing their support.  With every domain inside {0, 1} (fixed points) all
-    components are two-valued, so branching follows ``_branch_order``
-    alone.
+    cube, the assignment itself (``eval_mask`` reads ``_UNASSIGNED`` as
+    free), and in a FREE-first search waits for a complete support if the
+    component may be FREE.  A component none of whose regulators may be
+    FREE is two-valued; only the other fixed components, bar those that the
+    minimality rule below fixed, steer branching towards completing their
+    support.  With every domain inside {0, 1} (fixed points) all components
+    are two-valued, so branching follows ``_branch_order`` alone.
 
     FREE-last searches (``prefer_free`` false) also apply the minimality
     rule.  Every answer below the current assignment lies inside the
@@ -162,9 +162,11 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
     before the next decision, so a decision has no function value to
     prefer: it tries 0, 1, then FREE.
 
-    With ``scope``, only the given components are searched; all others
-    must have singleton domains (they are pinned up front) and their
-    closedness is not re-checked, which the callers guarantee to be sound.
+    Every singleton domain, in scope or not, is set at level 0.  With
+    ``scope``, only the given components are searched, and set-up reads
+    only their supports and dependents; all others must have singleton
+    domains and their closedness is not re-checked, which the callers
+    guarantee to be sound.
 
     The first answer S is subset-minimal among the admitted trap spaces
     when FREE is tried last (``prefer_free`` false), and subset-maximal
@@ -190,37 +192,30 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
         return
     n = net.n
     functions = net.functions
+    # symbol or _UNASSIGNED; every singleton domain is set at level 0
+    values = [next(iter(opts)) if len(opts) == 1 else _UNASSIGNED for opts in allowed]
+    if scope is None:
+        scope = range(n)
+        dependents = net.dependents
+    else:
+        scope = sorted(scope)
+        scope_set = set(scope)
+        dependents = {
+            i: [t for t in net.dependents[i] if t in scope_set] for i in scope
+        }
+    order = _branch_order(net, scope)
     two_valued = [True] * n
-    for i, opts in enumerate(allowed):
-        if FREE in opts:
-            for t in net.dependents[i]:
-                two_valued[t] = False
-    unassigned_support = [len(fn.support) for fn in functions]
+    unassigned_support = [0] * n
+    for i in scope:
+        for s in functions[i].support:
+            if values[s] == _UNASSIGNED:
+                unassigned_support[i] += 1
+            if FREE in allowed[s]:
+                two_valued[i] = False
     # settled[c]: c was fixed by the minimality rule, so f_c is constant at
     # its value on every answer below and c steers no branching
     settled = [False] * n
 
-    values = [_UNASSIGNED] * n  # symbol or -1
-    uview = [FREE] * n  # upper-bound cube: assigned 0/1 else FREE
-    if scope is None:
-        scope = range(n)
-        dependents = net.dependents
-        order = _branch_order(net)
-    else:
-        scope = sorted(scope)
-        scope_set = set(scope)
-        dependents = [
-            [t for t in net.dependents[i] if t in scope_set] for i in range(n)
-        ]
-        order = [i for i in _branch_order(net) if i in scope_set]
-        for i in range(n):
-            if i not in scope_set:
-                sym = next(iter(allowed[i]))
-                values[i] = sym
-                if sym != FREE:
-                    uview[i] = sym
-                for t in net.dependents[i]:
-                    unassigned_support[t] -= 1
     # Clause state is kept incrementally: sat_count counts assigned
     # literals that satisfy the clause, open_count the unassigned ones
     # that still could.
@@ -269,7 +264,12 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
     trail = []
     # (unassigned regulators, comp) for fixed, not-yet-exact comps that
     # are neither two-valued nor settled
-    heap = []
+    heap = [
+        (unassigned_support[i], i)
+        for i in scope
+        if values[i] < FREE and unassigned_support[i] and not two_valued[i]
+    ]
+    heapq.heapify(heap)
     # reasons[c]: the decision levels (bit k for level k) that the current
     # assignment of c rests on; level-0 assignments rest on none
     reasons = [0] * n
@@ -295,7 +295,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
             # means fixing i gives a smaller admitted trap space.
             if prefer_free:
                 return no_implications
-            mask = eval_mask(fn, uview)
+            mask = eval_mask(fn, values)
             if mask == 3 or (0 if mask == 1 else 1) not in allowed[i]:
                 return no_implications
             return None, reasons[i] | assigned_reason(fn.support)
@@ -353,7 +353,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
         if prefer_free and not exact and FREE in allowed[i]:
             return no_implications
         # An unassigned component's value rests on all its assigned regulators.
-        mask = eval_mask(fn, uview)
+        mask = eval_mask(fn, values)
         if mask == 3:
             # a component that cannot be FREE waits for a determined value
             if not exact:
@@ -393,14 +393,14 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
     def assign(comp, sym, why, fun_queue, clause_queue):
         values[comp] = sym
         reasons[comp] = why
-        if sym != FREE:
-            uview[comp] = sym
-            if unassigned_support[comp] and not (two_valued[comp] or settled[comp]):
-                heapq.heappush(heap, (unassigned_support[comp], comp))
+        if sym != FREE and unassigned_support[comp] and not (
+            two_valued[comp] or settled[comp]
+        ):
+            heapq.heappush(heap, (unassigned_support[comp], comp))
         trail.append(comp)
         for t in dependents[comp]:
             unassigned_support[t] -= 1
-            if unassigned_support[t] and uview[t] != FREE and not (
+            if unassigned_support[t] and values[t] < FREE and not (
                 two_valued[t] or settled[t]
             ):
                 heapq.heappush(heap, (unassigned_support[t], t))
@@ -439,19 +439,14 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
             comp = trail.pop()
             clauses_unassign(comp, values[comp])
             values[comp] = _UNASSIGNED
-            uview[comp] = FREE
             settled[comp] = False
             for t in dependents[comp]:
                 unassigned_support[t] += 1
-                if uview[t] != FREE and not (two_valued[t] or settled[t]):
+                if values[t] < FREE and not (two_valued[t] or settled[t]):
                     heapq.heappush(heap, (unassigned_support[t], t))
 
-    # Level-0: pin singleton domains, then propagate everything once.
-    fun_queue, clause_queue = list(scope), list(range(len(clauses)))
-    for i in scope:
-        if len(allowed[i]) == 1:
-            assign(i, next(iter(allowed[i])), 0, fun_queue, clause_queue)
-    if propagate(fun_queue, clause_queue) is not None:
+    # Level 0: propagate everything once from the pinned singletons.
+    if propagate(list(scope), list(range(len(clauses)))) is not None:
         return
 
     # stack[k - 1] = [var, untried symbols, trail mark, ptr, conflict set]
@@ -465,7 +460,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
         # fires as early as possible.
         while heap:
             cnt, j = heap[0]
-            if uview[j] == FREE or settled[j] or unassigned_support[j] == 0:
+            if values[j] >= FREE or settled[j] or unassigned_support[j] == 0:
                 heapq.heappop(heap)
                 continue
             if cnt != unassigned_support[j]:

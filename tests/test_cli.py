@@ -267,6 +267,7 @@ BENCH = ("bench", "--suite", ".", "--problem", "fix")
         (BENCH + ("--timeout", "-1"), "--timeout must be > 0"),
         (BENCH + ("--timeout", "0"), "--timeout must be > 0"),
         (BENCH + ("--timeout", "nan"), "--timeout must be > 0"),
+        (("generate", "--nodes", "5", "--gamma", "nan"), "gamma must be >= 0"),
     ],
 )
 def test_usage_error_message(model, argv, message):

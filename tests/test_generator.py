@@ -49,6 +49,8 @@ def test_spec_validation():
         GenSpec(n=0)
     with pytest.raises(ValueError):
         GenSpec(n=5, gamma=-1.0)
+    with pytest.raises(ValueError, match="gamma must be >= 0"):
+        GenSpec(n=5, gamma=float("nan"))  # random.choices refuses nan weights
     with pytest.raises(ValueError):
         GenSpec(n=5, family="nope")
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -149,6 +150,58 @@ def test_drains_match_restart_per_answer_reference():
     assert min(kinds.values()) > 100
 
 
+# SHA-256 of the fix, min and max streams, in order, of `identity_cases()`
+# (every answer) and of `generated_nets(200, range(20))` (first 3 answers
+# each).  A change that reorders a stream must update it and list the
+# change in CHANGES.md.
+STREAM_DIGEST = "d3cd8aad3e15b58e23fec69f6ad9b417cc7849b63968e9d87aa7606987db83f0"
+
+
+def test_stream_order_is_pinned():
+    digest = hashlib.sha256()
+    cases = [(net, within, None) for net, within in identity_cases()]
+    cases += [(net, None, 3) for net in generated_nets(200, range(20))]
+    for net, within, limit in cases:
+        for kind in ("fixed-points", "minimal-trap-spaces", "maximal-trap-spaces"):
+            digest.update(kind.encode())
+            for cube in solver.run_query(net, Query(kind, within, limit)):
+                digest.update(b" " + str(cube).encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == STREAM_DIGEST
+
+
+class CountedList(list):
+    """A list that counts its item lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, index):
+        self.lookups += 1
+        return super().__getitem__(index)
+
+
+def test_scoped_search_reads_only_its_scope_dependents(monkeypatch):
+    # A scoped search is set up over its scope alone: it looks up the
+    # dependents of no component outside it.
+    net = parse_bnet(generate_bnet(GenSpec(n=2000, seed=0)))
+    scoped = []
+    search = solver._trap_search
+
+    def recorded(*args, **kwargs):
+        if kwargs.get("scope") is not None:
+            scoped.append((args, kwargs))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_trap_search", recorded)
+    next(minimal_trap_spaces(net))
+    assert scoped
+    dependents = net.dependents
+    for args, kwargs in scoped:
+        net.dependents = CountedList(dependents)
+        next(search(*args, **kwargs), None)
+        assert net.dependents.lookups <= len(kwargs["scope"])
+
+
 @pytest.fixture
 def searches(monkeypatch):
     """Record every `_trap_search` call made without `scope`; scoped calls
@@ -208,7 +261,9 @@ def test_oracle_equivalence_sample(seed):
 
 def reverse_branch_order(monkeypatch):
     forward = solver._branch_order
-    monkeypatch.setattr(solver, "_branch_order", lambda net: forward(net)[::-1])
+    monkeypatch.setattr(
+        solver, "_branch_order", lambda net, scope: forward(net, scope)[::-1]
+    )
 
 
 def test_contradictory_terms_do_not_hide_regulators():
@@ -219,7 +274,7 @@ def test_contradictory_terms_do_not_hide_regulators():
         "a, a\nc, c\nv, (a & !c) | (!a & c) | (b & !b) | (d & !d)\nb, b\nd, d\n"
         "p, v\nq, v\nr, v\ns, v\n"
     )
-    assert solver._branch_order(net)[:3] == [2, 0, 1]
+    assert solver._branch_order(net, range(net.n))[:3] == [2, 0, 1]
     table = image_table(net)
     assert states(fixed_points(net)) == oracle_fixed_points(net, None, table)
     assert cubes(minimal_trap_spaces(net)) == oracle_minimal_traps(net, None, table)
@@ -351,7 +406,7 @@ def test_fixed_points_lexicographic_in_branch_order(monkeypatch):
         if reverse:
             reverse_branch_order(monkeypatch)
         for _seed, net in suite:
-            order = solver._branch_order(net)
+            order = solver._branch_order(net, range(net.n))
             found = list(fixed_points(net))
             keys = [tuple(state[i] for i in order) for state in found]
             assert keys == sorted(set(keys))
