@@ -264,12 +264,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
     trail = []
     # (unassigned regulators, comp) for fixed, not-yet-exact comps that
     # are neither two-valued nor settled
-    heap = [
-        (unassigned_support[i], i)
-        for i in scope
-        if values[i] < FREE and unassigned_support[i] and not two_valued[i]
-    ]
-    heapq.heapify(heap)
+    heap = []
     # reasons[c]: the decision levels (bit k for level k) that the current
     # assignment of c rests on; level-0 assignments rest on none
     reasons = [0] * n
@@ -445,8 +440,17 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
                 if values[t] < FREE and not (two_valued[t] or settled[t]):
                     heapq.heappush(heap, (unassigned_support[t], t))
 
-    # Level 0: propagate everything once from the pinned singletons.
-    if propagate(list(scope), list(range(len(clauses)))) is not None:
+    # Level 0: propagate everything once.  Singletons queue their checks as
+    # if assigned in scope order: the rule that fixes a component first
+    # decides whether it is settled.  Callers pass at most one clause, and
+    # one clause checks alike however often it is queued.
+    fun_queue = list(scope)
+    for i in scope:
+        if len(allowed[i]) == 1:
+            if values[i] < FREE and unassigned_support[i] and not two_valued[i]:
+                heapq.heappush(heap, (unassigned_support[i], i))
+            fun_queue += [*dependents[i], i]
+    if propagate(fun_queue, list(range(len(clauses)))) is not None:
         return
 
     # stack[k - 1] = [var, untried symbols, trail mark, ptr, conflict set]
