@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .cubes import FREE, Cube, closure, eval_mask, is_trap_space
-from .network import evaluate
+from .network import evaluate  # noqa: F401  (wrapped by perfbench's tracer)
 
 _DEADLINE_STRIDE = 512
 _SIM_STEPS = 60  # synchronous steps of the descent's simulation
@@ -440,11 +440,21 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
                 if values[t] < FREE and not (two_valued[t] or settled[t]):
                     heapq.heappush(heap, (unassigned_support[t], t))
 
-    # Level 0: propagate everything once.  Singletons queue their checks as
-    # if assigned in scope order: the rule that fixes a component first
-    # decides whether it is settled.  Callers pass at most one clause, and
-    # one clause checks alike however often it is queued.
-    fun_queue = list(scope)
+    # Level 0: propagate everything once.  An unassigned component with no
+    # assigned regulator and a non-constant function is not queued: f takes
+    # both values on the free cube of its support, so its check concludes
+    # nothing, and `assign` queues it once a regulator is set.  Singletons
+    # queue their checks as if assigned in scope order: the rule that fixes
+    # a component first decides whether it is settled.  Callers pass at
+    # most one clause, and one clause checks alike however often it is
+    # queued.
+    fun_queue = [
+        i
+        for i in scope
+        if values[i] != _UNASSIGNED
+        or unassigned_support[i] < len(functions[i].support)
+        or functions[i].primes.clauses in ((), ((),))
+    ]
     for i in scope:
         if len(allowed[i]) == 1:
             if values[i] < FREE and unassigned_support[i] and not two_valued[i]:
@@ -571,8 +581,11 @@ def _simulate(net, state, steps, clock):
 
     After one full image, each step re-evaluates only the dependents of
     the components the previous step changed: x_{k+1}[t] can differ from
-    x_k[t] only if some regulator of t changed at step k.  A step that
-    changes nothing has reached a fixed point, which ends the simulation.
+    x_k[t] only if some regulator of t changed at step k.  A dependent is
+    woken once per step, by stamping it with the step number, and its DNF
+    is evaluated in place on x_k; the flips are applied after the step's
+    last evaluation.  A step that changes nothing has reached a fixed
+    point, which ends the simulation.
 
     Every trajectory ends in a cycle, found by Brent's method: the state
     x_s saved at step s is compared with x_{s+1}, ..., x_{s+2^j}, and
@@ -586,8 +599,10 @@ def _simulate(net, state, steps, clock):
     clock.check_now()
     values = list(net.image(state))
     changed = [i for i, (new, old) in enumerate(zip(values, state)) if new != old]
-    functions = net.functions
+    dnfs = [fn.dnf.clauses for fn in net.functions]
     dependents = net.dependents
+    # woken_at[t] == k: t was already evaluated at step k
+    woken_at = [0] * net.n
     # saved: x_since, or None once the period is known; diff: the number
     # of components where the current state and x_since differ
     saved, since, power, diff = state, 0, 1, len(changed)
@@ -601,8 +616,23 @@ def _simulate(net, state, steps, clock):
             if k - since == power:
                 saved, since, power, diff = tuple(values), k, 2 * power, 0
         clock.check_now()
-        woken = {t for i in changed for t in dependents[i]}
-        changed = [t for t in woken if evaluate(functions[t], values) != values[t]]
+        flips = []
+        for i in changed:
+            for t in dependents[i]:
+                if woken_at[t] == k:
+                    continue
+                woken_at[t] = k
+                new = 0
+                for clause in dnfs[t]:
+                    for comp, val in clause:
+                        if values[comp] != val:
+                            break
+                    else:
+                        new = 1
+                        break
+                if new != values[t]:
+                    flips.append(t)
+        changed = flips
         for t in changed:
             values[t] = 1 - values[t]
         if saved is not None:
@@ -616,54 +646,62 @@ def _free_sccs(net, free_set, clock):
     """Strongly connected components of the influence graph on `free_set`,
     regulators first.
 
-    Tarjan's algorithm closes a component only after every component it
+    Tarjan's algorithm over flat n-long arrays, each depth-first frame a
+    node and an iterator over its dependents (those outside `free_set` are
+    skipped).  It closes a component only after every component it
     reaches, so it lists dependents first; the list is returned reversed.
-    The clock is polled once per depth-first search root.
+    The clock is polled once per visited component.
     """
-    succs = {i: [t for t in net.dependents[i] if t in free_set] for i in free_set}
-    index = {}
-    low = {}
-    on_stack = set()
+    n = net.n
+    dependents = net.dependents
+    in_free = [False] * n
+    for i in free_set:
+        in_free[i] = True
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack = []
     sccs = []
-    for root in sorted(free_set):
-        if root in index:
-            continue
+    visited = 0
+
+    def visit(node):
+        nonlocal visited
         clock.poll()
-        work = [[root, 0]]
+        index[node] = low[node] = visited
+        visited += 1
+        stack.append(node)
+        on_stack[node] = True
+        return node, iter(dependents[node])
+
+    for root in sorted(free_set):
+        if index[root] >= 0:
+            continue
+        work = [visit(root)]
         while work:
-            frame = work[-1]
-            node = frame[0]
-            if frame[1] == 0:
-                index[node] = low[node] = len(index)
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            succ = succs[node]
-            while frame[1] < len(succ):
-                w = succ[frame[1]]
-                frame[1] += 1
-                if w not in index:
-                    work.append([w, 0])
-                    advanced = True
+            node, succ = work[-1]
+            for w in succ:
+                if not in_free[w]:
+                    continue
+                if index[w] < 0:
+                    work.append(visit(w))
                     break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == node:
-                        break
-                sccs.append(scc)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                if on_stack[w] and index[w] < low[node]:
+                    low[node] = index[w]
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        scc.append(w)
+                        if w == node:
+                            break
+                    sccs.append(scc)
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
     sccs.reverse()
     return sccs
 
@@ -705,6 +743,17 @@ def _scc_value_domains(net, values, scc_set, clock):
     is re-checked only when a regulator inside the SCC lost a value.  The
     greatest fixpoint is unique, so the order of the checks does not
     matter.  A probe records its removals and undoes them afterwards.
+    Members with the most readers inside the SCC are probed first.
+
+    A probe that keeps v also certifies other probes (Lecoutre & Cardon,
+    IJCAI 2005): every member c whose domain in the probe's fixpoint is
+    exactly {w} is certified for w, and the probe of (c, w) is skipped.
+    That fixpoint lies inside `master`, fixes c to w and has every value
+    supported, so it lies inside the greatest fixpoint below `master` with
+    c fixed to w, and the probe of (c, w) would keep w.  The argument
+    needs `master` as it was when the certificate was made: once `master`
+    loses a value, the greatest fixpoint below it can lose w too, so every
+    certificate is dropped.
     """
     functions = net.functions
     readers = {c: [j for j in net.dependents[c] if j in scc_set] for c in scc_set}
@@ -756,26 +805,33 @@ def _scc_value_domains(net, values, scc_set, clock):
 
     master = {j: {0, 1} for j in scc_set}
     refine(master, scc_set, [])
+    order = sorted(scc_set, key=lambda j: (-len(readers[j]), j))
+    certified = set()
     changed = True
     while changed:
         changed = False
-        for j in sorted(scc_set):
+        for j in order:
             for v in (0, 1):
                 if v not in master[j]:
                     continue
                 clock.poll()
                 dom = master[j]
-                if 1 - v not in dom:
+                if 1 - v not in dom or (j, v) in certified:
                     continue  # the probe would change nothing
                 dom.discard(1 - v)
                 removed = [(j, 1 - v)]
                 refine(master, readers[j], removed)
                 kept = v in dom
+                if kept:
+                    for c, _ in removed:
+                        if len(master[c]) == 1:
+                            certified.add((c, next(iter(master[c]))))
                 for c, u in removed:
                     master[c].add(u)
                 if not kept:
                     dom.discard(v)
                     refine(master, readers[j], [])
+                    certified.clear()
                     changed = True
     return master
 

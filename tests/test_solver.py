@@ -456,9 +456,20 @@ def test_scc_domains_match_full_sweep_on_oracle_suite(domains_checked):
 
 
 def test_scc_domains_match_full_sweep_on_generated_nets(domains_checked):
-    for net in generated_nets(200, range(10)):
+    for net in generated_nets(200, range(30)):
         next(minimal_trap_spaces(net), None)
-    assert len(domains_checked) > 20
+    assert len(domains_checked) > 100
+
+
+def test_scc_domains_drop_certificates_when_a_probe_fails():
+    # The probes of (a, 0), (a, 1) and (b, 0) keep their values, and each
+    # certifies its own; the probe of (b, 1) fails.  With 1 gone from b,
+    # the probe of (a, 0) fails too, so a certificate kept past the first
+    # failure would skip it and leave a with {0, 1} and b with {0}.
+    net = parse_bnet("a, (!a & !b) | b\nb, (!a & b) | (a & !b)")
+    clock = solver._Deadline(None)
+    got = solver._scc_value_domains(net, [FREE, FREE], {0, 1}, clock)
+    assert got == sweep(net, [FREE, FREE], {0, 1}, clock) == {0: set(), 1: set()}
 
 
 def test_simulate_equals_repeated_image():
@@ -482,24 +493,27 @@ def test_simulate_equals_repeated_image():
     assert settled > 20 and cycling > 20
 
 
-def test_simulate_stops_at_first_repeated_state(monkeypatch):
+class CountingClock(solver._Deadline):
+    """A clock without a deadline that counts its `check_now` calls."""
+
+    def __init__(self):
+        super().__init__(None)
+        self.checks = 0
+
+    def check_now(self):
+        self.checks += 1
+
+
+def test_simulate_stops_at_first_repeated_state():
     # From x_2 on the trajectory alternates between two states; Brent's
     # method sees the repeat at step 5, and the remaining steps follow from
-    # the period instead of being simulated (3 evaluations per step).
-    calls = []
-    evaluate = solver.evaluate
-
-    def counted(fn, state):
-        calls.append(fn)
-        return evaluate(fn, state)
-
-    monkeypatch.setattr(solver, "evaluate", counted)
+    # the period instead of being simulated.  `_simulate` checks the clock
+    # once before the first image and once per later step.
     net = parse_bnet("a, b\nb, a\nc, a | c")
-    clock = solver._Deadline(None)
     for steps, expected in ((60, (0, 1, 1)), (59, (1, 0, 1))):
-        calls.clear()
+        clock = CountingClock()
         assert solver._simulate(net, (0, 1, 0), steps, clock) == expected
-        assert len(calls) <= 15
+        assert clock.checks <= 6
 
 
 def test_simulate_polls_the_clock():
@@ -507,6 +521,16 @@ def test_simulate_polls_the_clock():
     expired = solver._Deadline(time.monotonic() - 1.0)
     with pytest.raises(solver.SolverTimeout):
         solver._simulate(net, (0,) * net.n, 60, expired)
+
+
+def test_free_sccs_polls_the_clock_per_component():
+    # One ring is one depth-first root: the clock must be polled while the
+    # search walks it, not only once per root.
+    n = 2000
+    net = parse_bnet("".join("x%d, x%d\n" % (i, (i - 1) % n) for i in range(n)))
+    expired = solver._Deadline(time.monotonic() - 1.0)
+    with pytest.raises(solver.SolverTimeout):
+        solver._free_sccs(net, set(range(n)), expired)
 
 
 def test_closure_polls_the_clock():
