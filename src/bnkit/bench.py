@@ -42,7 +42,7 @@ def run_model(path, problem, timeout):
     start = time.monotonic()
     deadline = start + timeout
     try:
-        net = parse_bnet(path.read_text(encoding="utf-8"))
+        net = parse_bnet(path.read_text(encoding="utf-8-sig"))
         if time.monotonic() > deadline:
             raise SolverTimeout
         # an unknown problem name fails in run_query as an unknown kind

@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_model(path):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
     return parse_bnet(text)

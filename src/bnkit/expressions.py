@@ -264,7 +264,18 @@ def parse_expression(text, builder=_Tree):
     `builder` makes the result (see `_scan`).  Every syntax error is raised
     here, whatever the builder.  Tokens carry no position; an error's line
     and column come from the offset of the offending character or token.
+    Text that is one name, alone or after one ``!``, is not scanned: the
+    builder gets the leaf the scanner would give it.
     """
+    nots = 1 if text[:1] == "!" else 0
+    name = text[nots:]
+    if (
+        name.replace("_", "").isalnum()
+        and name.isascii()
+        and name not in _KINDS
+        and name not in _CONSTANTS
+    ):
+        return builder.var(name, nots, 1 - nots)
     if not text or text.isspace():
         raise ExprSyntaxError("empty expression", 1, 1)
     bad = _UNEXPECTED_RE.search(text)

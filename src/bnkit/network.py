@@ -315,7 +315,14 @@ def _node_function(clause_set, cap):
     One loop over the clauses sorts them and gathers their literals, which
     give the support and tell whether the DNF is unate (no component with
     both signs).  The primes are built from the DNF of f, under the same cap.
+    A single clause is unate, as builders make no contradictory clause, so
+    its sorted literals give the DNF, its primes and its support.
     """
+    if len(clause_set) == 1:
+        (clause,) = clause_set
+        literals = tuple(sorted(clause))
+        dnf = Dnf((literals,))
+        return NodeFunction(dnf, dnf, tuple(dict(literals)))
     clauses = []
     used = set()
     for clause in clause_set:
@@ -356,7 +363,10 @@ def _read_function(text, index, clauses):
     """The canonical NodeFunction of expression text, scanned straight into
     clause sets by the clause builder `clauses`.
 
-    Only a failed build parses the text into a tree, so that it fails as
+    A leaf line, one name alone or right after one ``!``, takes the leaf
+    path: `parse_expression` hands the name to the builder with no scan,
+    and its one clause makes the function with no unateness test.  Only a
+    failed build parses the text into a tree, so that it fails as
     `normalize` would: with the syntax error, else with the first
     undeclared name, else with the build's own error.
     """

@@ -30,6 +30,11 @@ def test_all_problems(tmp_path):
         assert rec.status == "ok"
 
 
+def test_model_with_byte_order_mark_is_an_ok_row(tmp_path):
+    (tmp_path / "m.bnet").write_bytes(b"\xef\xbb\xbfx, !y\r\ny, x\r\n")
+    assert bench.run_model(tmp_path / "m.bnet", "fix", 30.0).status == "ok"
+
+
 def test_forced_timeout(tmp_path):
     # a zero-second budget expires before the solve starts
     (tmp_path / "m.bnet").write_text("x, !y\ny, x\n")

@@ -179,6 +179,15 @@ def test_deeply_nested_model_is_read(tmp_path):
     assert sorted(out.splitlines()) == ["00", "01", "10", "11"]
 
 
+def test_model_with_byte_order_mark_and_crlf(tmp_path, model):
+    # a UTF-8 byte-order mark is not part of the first component's name
+    path = tmp_path / "bom.bnet"
+    path.write_bytes(b"\xef\xbb\xbf" + EXAMPLE.replace("\n", "\r\n").encode())
+    code, out, err = run("fixpoints", str(path))
+    assert (code, out, err) == (0, "100\n", "")
+    assert run("fixpoints", model) == (code, out, err)
+
+
 def test_exit_code_undecodable_model(tmp_path):
     path = tmp_path / "latin1.bnet"
     path.write_bytes(b"a, \xff\n")

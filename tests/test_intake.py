@@ -145,6 +145,62 @@ def test_intake_matches_reference_on_nested_lines():
         assert (fn.dnf.clauses, fn.primes.clauses, fn.support) == expected
 
 
+LEAF_BASE = "a, a\nb, b\n12, !a\nx_1, b\n"
+LEAF_INDEX = {"a": 0, "b": 1, "12": 2, "x_1": 3, "d": 4}
+UNDECLARED_ZZ = (NetworkError, "undeclared component 'zz' referenced")
+
+
+def _syntax(message):
+    return ExprSyntaxError, message + " (line 1, column 1)"
+
+
+# one-name spellings: each builds as the reference does, or fails as before
+LEAF_LINES = [
+    ("a", None),
+    ("!a", None),
+    ("d", None),  # the line's own component
+    ("!!a", None),
+    ("! a", None),
+    ("(a)", None),
+    ("!(a)", None),
+    ("12", None),
+    ("!x_1", None),
+    ("zz", UNDECLARED_ZZ),
+    ("!zz", UNDECLARED_ZZ),
+    ("and", _syntax("reserved word 'and' used as identifier")),
+    ("!TRUE", None),
+    ("0", None),
+    ("1", None),
+    ("\u00e9", _syntax("unexpected character '\u00e9'")),
+    ("NOT", (ExprSyntaxError, "unexpected end of expression (line 1, column 4)")),
+]
+
+
+@pytest.mark.parametrize("entry", ["parsed", "edited", "added"])
+@pytest.mark.parametrize("text, error", LEAF_LINES)
+def test_one_name_lines_match_reference(text, error, entry):
+    # d, the fifth component, read from the text in a model, as an edit of
+    # an existing d and as a new component
+    build = {
+        "parsed": lambda: parse_bnet(LEAF_BASE + "d, %s\n" % text),
+        "edited": lambda: set_function(parse_bnet(LEAF_BASE + "d, b\n"), "d", text),
+        "added": lambda: set_function(parse_bnet(LEAF_BASE), "d", text),
+    }[entry]
+    if error is None:
+        assert parse_expression(text) == reference_parse(text)
+        fn = build().functions[4]
+        expected = reference_normalize(reference_parse(text), LEAF_INDEX)
+        assert (fn.dnf.clauses, fn.primes.clauses, fn.support) == expected
+        assert fn.primes is fn.dnf
+        return
+    kind, message = error
+    if entry == "parsed":
+        kind, message = ParseError, "line 5: " + message
+    with pytest.raises(kind) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_intake_builds_no_tree(monkeypatch):
     made = []
 
@@ -234,6 +290,8 @@ def _edited(text, *edits):
         # an edit reads literals other functions hold, and one no clause held
         functools.partial(_edited, EDITED_MODEL, ("c", "a & b")),
         functools.partial(_edited, EDITED_MODEL, ("a", "!b | c"), ("d", "!d & (a | !c)")),
+        # one-name lines: a literal of a's clause, and one of a new component
+        functools.partial(_edited, EDITED_MODEL, ("b", "!c"), ("d", "!d")),
         functools.partial(_edited, CONSENSUS_MODEL, ("c", "(a & !b) | (b & c) | !c")),
         functools.partial(
             _edited,
@@ -242,7 +300,14 @@ def _edited(text, *edits):
         ),
     ],
     ids=list(FAMILIES)
-    + ["consensus", "edited", "edited-twice", "edited-consensus", "edited-generated"],
+    + [
+        "consensus",
+        "edited",
+        "edited-twice",
+        "edited-leaves",
+        "edited-consensus",
+        "edited-generated",
+    ],
 )
 def test_parsed_model_shares_one_object_per_literal(build):
     net = build()
