@@ -17,7 +17,6 @@ from .dynamics import (
     reachability,
     successors,
 )
-from .expressions import parse_expression
 from .generator import GenSpec, generate_bnet
 from .network import (
     BooleanNetwork,
@@ -25,7 +24,6 @@ from .network import (
     ParseError,
     evaluate,
     export_bnet,
-    normalize,
     parse_bnet,
     set_function,
 )
@@ -60,9 +58,7 @@ __all__ = [
     "maximal_trap_spaces",
     "minimal_trap_spaces",
     "mp_successors",
-    "normalize",
     "parse_bnet",
-    "parse_expression",
     "reachability",
     "set_function",
     "successors",

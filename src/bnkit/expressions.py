@@ -6,21 +6,20 @@ constants ``0``/``1``/``true``/``false``.  Word operators and constants are
 case-insensitive.  Precedence: ``!`` binds tighter than ``&``, which binds
 tighter than ``|``.
 
-One scanner, `_scan`, reads expression text for two builders.  It calls
-its builder at each leaf, conjunction, disjunction and group close, and
-the builder decides what these make.  `_Tree`, the default of
-`parse_expression`, makes the AST below; the network module passes a
-clause builder, so that model intake goes from text to clause sets with
-no tree in between.  The scanner also tracks the polarity of the
-negations in force: an open parenthesis read after an odd number of
-``!`` starts a group that is built negated, so a builder that can negate
-its leaves (clause sets, by De Morgan) never negates a built value.
+One scanner, `_scan`, reads expression text.  It calls a builder at each
+leaf, conjunction, disjunction and group close, and the builder decides
+what these make.  The network module passes a clause builder, so that
+model intake goes from text to clause sets with no tree in between, and,
+only for a line that failed, a builder that collects the names the line
+reads.  The scanner also tracks the polarity of the negations in force:
+an open parenthesis read after an odd number of ``!`` starts a group that
+is built negated, so a builder that can negate its leaves (clause sets,
+by De Morgan) never negates a built value.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import product
 
 
@@ -34,76 +33,6 @@ class ExprSyntaxError(ValueError):
 
 
 RESERVED = frozenset({"and", "or", "not", "true", "false"})
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Const:
-    value: bool
-
-
-class _Operator:
-    """An operator node compares, hashes and prints (as the dataclass repr
-    would) through its `_preorder` listing, so nesting depth is unbounded."""
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return _preorder(self) == _preorder(other)
-
-    def __hash__(self):
-        return hash(tuple(_preorder(self)))
-
-    def __repr__(self):
-        parts = []
-        for node in reversed(_preorder(self)):
-            if type(node) is not tuple:
-                parts.append(repr(node))
-            elif node[0] is Not:
-                parts.append("Not(arg=%s)" % parts.pop())
-            else:
-                args = [parts.pop() for _ in range(node[1])]
-                text = ", ".join(args) + ("," if len(args) == 1 else "")
-                parts.append("%s(args=(%s))" % (node[0].__name__, text))
-        return parts[0]
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Not(_Operator):
-    arg: "Expression"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class And(_Operator):
-    args: tuple
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Or(_Operator):
-    args: tuple
-
-
-Expression = Var | Const | Not | And | Or
-
-
-def _preorder(expr):
-    """The tree's nodes in preorder, each leaf as itself and each operator
-    node as (type, arity): two trees are equal iff their listings are."""
-    out = []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _Operator):
-            args = (node.arg,) if type(node) is Not else node.args
-            out.append((type(node), len(args)))
-            stack.extend(reversed(args))
-        else:
-            out.append(node)
-    return out
 
 
 # Tokens, whitespace skipped; any other character is unexpected.
@@ -122,10 +51,7 @@ _KINDS = {
     "!": "!", "&": "&", "|": "|", "(": "(", ")": ")",
     **_spellings("not", "!"), **_spellings("and", "&"), **_spellings("or", "|"),
 }
-_CONSTANTS = {
-    "0": Const(False), "1": Const(True),
-    **_spellings("false", Const(False)), **_spellings("true", Const(True)),
-}
+_CONSTANTS = {"0": 0, "1": 1, **_spellings("false", 0), **_spellings("true", 1)}
 
 
 def _position(text, offset):
@@ -166,9 +92,10 @@ def _scan(text, builder):
 
     The builder is called as:
 
-    - ``var(name, nots, positive)`` and ``const(node, nots, positive)`` at
-      a leaf read after `nots` negations; `positive` is the polarity in
-      force at the leaf, its group's flipped once per negation;
+    - ``var(name, nots, positive)`` and ``const(value, nots, positive)``
+      (`value` 0 or 1) at a leaf read after `nots` negations; `positive`
+      is the polarity in force at the leaf, its group's flipped once per
+      negation;
     - ``conj(parts, positive)`` and ``disj(parts, positive)`` for a
       conjunction or disjunction of two or more parts, with the group's
       polarity;
@@ -196,11 +123,11 @@ def _scan(text, builder):
             continue
         if kind is not None or tok is None:
             raise _syntax_error(_operand_fault(tok), text, pos - 1)
-        node = _CONSTANTS.get(tok)
-        if node is None:
+        value = _CONSTANTS.get(tok)
+        if value is None:
             expr = var(tok, nots, positive ^ (nots & 1))
         else:
-            expr = const(node, nots, positive ^ (nots & 1))
+            expr = const(value, nots, positive ^ (nots & 1))
         while True:
             ands.append(expr)
             # an operator, or the end of the innermost group
@@ -228,44 +155,14 @@ def _scan(text, builder):
         nots = 0
 
 
-def _negated(expr, nots):
-    for _ in range(nots):
-        expr = Not(expr)
-    return expr
+def parse_expression(text, builder):
+    """Parse expression text into what `builder` makes of it (see `_scan`).
 
-
-class _Tree:
-    """The AST builder: each leaf and group under its own `Not` nodes, one
-    per negation read, and one `And` or `Or` node per operator chain.  The
-    tree keeps the negations as written, so polarity is not used."""
-
-    @staticmethod
-    def var(name, nots, positive):
-        return _negated(Var(name), nots)
-
-    @staticmethod
-    def const(node, nots, positive):
-        return _negated(node, nots)
-
-    @staticmethod
-    def conj(parts, positive):
-        return And(tuple(parts))
-
-    @staticmethod
-    def disj(parts, positive):
-        return Or(tuple(parts))
-
-    close = staticmethod(_negated)
-
-
-def parse_expression(text, builder=_Tree):
-    """Parse expression text; by default into an AST, with no simplification.
-
-    `builder` makes the result (see `_scan`).  Every syntax error is raised
-    here, whatever the builder.  Tokens carry no position; an error's line
-    and column come from the offset of the offending character or token.
-    Text that is one name, alone or after one ``!``, is not scanned: the
-    builder gets the leaf the scanner would give it.
+    Every syntax error is raised here, whatever the builder.  Tokens carry
+    no position; an error's line and column come from the offset of the
+    offending character or token.  Text that is one name, alone or after
+    one ``!``, is not scanned: the builder gets the leaf the scanner would
+    give it.
     """
     nots = 1 if text[:1] == "!" else 0
     name = text[nots:]
@@ -284,19 +181,4 @@ def parse_expression(text, builder=_Tree):
             "unexpected character %r" % bad.group(), *_position(text, bad.start())
         )
     return _scan(text, builder)
-
-
-def variables(expr):
-    """Set of component names referenced by the expression."""
-    out = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, Not):
-            stack.append(node.arg)
-        elif isinstance(node, (And, Or)):
-            stack.extend(node.args)
-    return out
 

@@ -12,22 +12,14 @@ of its values on a cube read from clauses.
 from __future__ import annotations
 
 import gc
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import wraps
 from itertools import chain
 from operator import itemgetter
 
-from .expressions import (
-    RESERVED,
-    And,
-    Const,
-    ExprSyntaxError,
-    Not,
-    Var,
-    parse_expression,
-    variables,
-)
+from .expressions import RESERVED, ExprSyntaxError, parse_expression
 
 
 class ParseError(ValueError):
@@ -132,8 +124,8 @@ class _NetworkLiterals(dict):
 
 
 class _Clauses:
-    """The clause builder that `parse_expression`'s scanner and `_to_clauses`
-    drive: the clause set of each part, negated when its polarity is 0.
+    """The clause builder that `parse_expression`'s scanner drives: the
+    clause set of each part, negated when its polarity is 0.
 
     A leaf is the singleton clause set of its literal from `literals` (see
     `_literal_table`), so one builder's functions share one object per
@@ -153,8 +145,8 @@ class _Clauses:
     def var(self, name, nots, positive):
         return frozenset([frozenset([self.literals[name][positive]])])
 
-    def const(self, node, nots, positive):
-        return _TRUE if node.value == positive else _FALSE
+    def const(self, value, nots, positive):
+        return _TRUE if value == positive else _FALSE
 
     def conj(self, parts, positive):
         return _conjoin(parts, self.cap) if positive else _disjoin(parts, self.cap)
@@ -166,39 +158,17 @@ class _Clauses:
         return clauses
 
 
-def _to_clauses(expr, builder):
-    """Clause set of an AST, made by a clause builder as the scanner would.
+class _Names(set):
+    """The builder of a failed line's second scan: it collects the names
+    the text reads and builds nothing."""
 
-    A depth-first walk on an explicit stack, so nesting depth is unbounded.
-    A `Not` flips the polarity on the way down.  Each open And or Or holds
-    its arguments' clause sets so far and an iterator over the rest; it is
-    built once the iterator runs out.
-    """
-    frames = []
-    node = expr
-    positive = 1
-    while True:
-        while type(node) is Not:
-            node, positive = node.arg, 1 - positive
-        if type(node) is Var:
-            result = builder.var(node.name, 0, positive)
-        elif type(node) is Const:
-            result = builder.const(node, 0, positive)
-        else:
-            frames.append((node, positive, [], iter(node.args)))
-            result = None
-        while frames:
-            top, positive, parts, args = frames[-1]
-            if result is not None:
-                parts.append(result)
-            node = next(args, None)
-            if node is not None:
-                break
-            frames.pop()
-            join = builder.conj if type(top) is And else builder.disj
-            result = join(parts, positive)
-        else:
-            return result
+    def var(self, name, nots, positive):
+        self.add(name)
+
+    def const(self, *args):
+        return None
+
+    conj = disj = close = const
 
 
 def _primes(dnf, cap):
@@ -335,30 +305,6 @@ def _node_function(clause_set, cap):
     return NodeFunction(dnf, primes, tuple(sorted(signs)))
 
 
-def _check_declared(expr, index):
-    """Raise NetworkError for the first name of expr, in sorted order, that
-    `index` lacks."""
-    missing = [name for name in variables(expr) if name not in index]
-    if missing:
-        raise NetworkError("undeclared component %r referenced" % min(missing)) from None
-
-
-def normalize(expr, index, clause_cap=DEFAULT_CLAUSE_CAP):
-    """Build the canonical NodeFunction for an expression.
-
-    Every name in expr must be in `index`; the first undeclared one in
-    sorted order raises NetworkError, ahead of a NormalizationError of the
-    same expression.
-    """
-    clauses = _Clauses(_literal_table(index), clause_cap)
-    try:
-        return _node_function(_to_clauses(expr, clauses), clause_cap)
-    except (KeyError, NormalizationError):
-        # only a failed build walks the names
-        _check_declared(expr, index)
-        raise
-
-
 def _read_function(text, index, clauses):
     """The canonical NodeFunction of expression text, scanned straight into
     clause sets by the clause builder `clauses`.
@@ -366,14 +312,20 @@ def _read_function(text, index, clauses):
     A leaf line, one name alone or right after one ``!``, takes the leaf
     path: `parse_expression` hands the name to the builder with no scan,
     and its one clause makes the function with no unateness test.  Only a
-    failed build parses the text into a tree, so that it fails as
-    `normalize` would: with the syntax error, else with the first
-    undeclared name, else with the build's own error.
+    failed build scans the text again, collecting its names, so that it
+    fails with the syntax error, else with the first undeclared name in
+    sorted order, else with the build's own error: an undeclared name is
+    reported ahead of a NormalizationError of the same text.
     """
     try:
         return _node_function(parse_expression(text, clauses), clauses.cap)
     except (KeyError, NormalizationError):
-        _check_declared(parse_expression(text), index)
+        names = _Names()
+        parse_expression(text, names)
+        missing = names - index.keys()
+        if missing:
+            name = min(missing)
+            raise NetworkError("undeclared component %r referenced" % name) from None
         raise
 
 
@@ -432,13 +384,15 @@ class BooleanNetwork:
         return "BooleanNetwork(%d components)" % self.n
 
 
-# Words the expression grammar reads as operators or constants.
+# The expression grammar's identifiers, and the words it reads as
+# operators or constants.
+_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 _RESERVED_NAMES = RESERVED | {"0", "1"}
 
 
 def _name_problem(name):
     """Why `name` cannot name a component, or None when it can."""
-    if not name or not name.replace("_", "").isalnum() or not name.isascii():
+    if _NAME_RE.fullmatch(name) is None:
         return "invalid component name %r" % name
     if name.lower() in _RESERVED_NAMES:
         return "reserved word %r used as component name" % name

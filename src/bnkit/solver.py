@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .cubes import FREE, Cube, closure, eval_mask, is_trap_space
-from .network import evaluate  # noqa: F401  (wrapped by perfbench's tracer)
 
 _DEADLINE_STRIDE = 512
 _SIM_STEPS = 60  # synchronous steps of the descent's simulation

@@ -1,4 +1,4 @@
-"""Shared helpers: random model builders and brute-force oracles.
+"""Shared helpers: random model builders, expression trees and brute-force oracles.
 
 The oracles deliberately avoid the library's cube-evaluation path: trap
 spaces are checked by enumerating cube vertices and testing that every
@@ -8,13 +8,145 @@ synchronous image stays inside the cube.
 import random
 import re
 from collections import deque
+from dataclasses import dataclass
 from itertools import product
 
 from bnkit import Cube, mp_successors, parse_bnet, solver, vertices
 from bnkit.cubes import FREE, is_trap_space
 from bnkit.dynamics import INC
-from bnkit.expressions import And, Const, ExprSyntaxError, Not, Or, Var, variables
-from bnkit.network import DEFAULT_CLAUSE_CAP, Dnf, _primes, evaluate
+from bnkit.expressions import ExprSyntaxError
+from bnkit.network import (
+    DEFAULT_CLAUSE_CAP,
+    Dnf,
+    _Clauses,
+    _literal_table,
+    _primes,
+    _read_function,
+    evaluate,
+)
+
+
+# Expression trees, as `reference_parse` builds them and the `Tree` builder
+# makes them from the library's scanner.
+
+
+@dataclass(frozen=True)
+class Var:
+    name: str
+
+
+@dataclass(frozen=True)
+class Const:
+    value: bool
+
+
+class _Operator:
+    """An operator node compares, hashes and prints (as the dataclass repr
+    would) through its `_preorder` listing, so nesting depth is unbounded."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _preorder(self) == _preorder(other)
+
+    def __hash__(self):
+        return hash(tuple(_preorder(self)))
+
+    def __repr__(self):
+        parts = []
+        for node in reversed(_preorder(self)):
+            if type(node) is not tuple:
+                parts.append(repr(node))
+            elif node[0] is Not:
+                parts.append("Not(arg=%s)" % parts.pop())
+            else:
+                args = [parts.pop() for _ in range(node[1])]
+                text = ", ".join(args) + ("," if len(args) == 1 else "")
+                parts.append("%s(args=(%s))" % (node[0].__name__, text))
+        return parts[0]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Not(_Operator):
+    arg: object
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class And(_Operator):
+    args: tuple
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Or(_Operator):
+    args: tuple
+
+
+def _preorder(expr):
+    """The tree's nodes in preorder, each leaf as itself and each operator
+    node as (type, arity): two trees are equal iff their listings are."""
+    out = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Operator):
+            args = (node.arg,) if type(node) is Not else node.args
+            out.append((type(node), len(args)))
+            stack.extend(reversed(args))
+        else:
+            out.append(node)
+    return out
+
+
+def _negated(expr, nots):
+    for _ in range(nots):
+        expr = Not(expr)
+    return expr
+
+
+class Tree:
+    """The builder that makes a tree with `parse_expression`'s scanner: each
+    leaf and group under its own `Not` nodes, one per negation read, and
+    one `And` or `Or` node per operator chain.  The tree keeps the
+    negations as written, so polarity is not used."""
+
+    @staticmethod
+    def var(name, nots, positive):
+        return _negated(Var(name), nots)
+
+    @staticmethod
+    def const(value, nots, positive):
+        return _negated(Const(bool(value)), nots)
+
+    @staticmethod
+    def conj(parts, positive):
+        return And(tuple(parts))
+
+    @staticmethod
+    def disj(parts, positive):
+        return Or(tuple(parts))
+
+    close = staticmethod(_negated)
+
+
+def variables(expr):
+    """Set of component names referenced by the expression."""
+    out = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            out.add(node.name)
+        elif isinstance(node, Not):
+            stack.append(node.arg)
+        elif isinstance(node, (And, Or)):
+            stack.extend(node.args)
+    return out
+
+
+def read_function(text, index, clause_cap=DEFAULT_CLAUSE_CAP):
+    """The library's NodeFunction of expression text over the names of
+    `index`, read as intake reads a line, errors included."""
+    return _read_function(text, index, _Clauses(_literal_table(index), clause_cap))
 
 
 def random_expression(rng, names):

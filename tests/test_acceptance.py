@@ -25,8 +25,7 @@ from bnkit import (
 from bnkit import bench
 from bnkit.cli import main as cli_main
 from bnkit.dynamics import attractors
-from bnkit.expressions import parse_expression
-from bnkit.network import export_bnet, normalize
+from bnkit.network import export_bnet
 from nettools import (
     _mp_reachable_states,
     eval_oracle,
@@ -38,6 +37,7 @@ from nettools import (
     oracle_suite,
     prime_oracle,
     random_expression,
+    read_function,
 )
 from bnkit import closure
 
@@ -118,7 +118,7 @@ def test_criterion_4_eval_on_cube():
         k = 16 if trial % 500 == 0 else min(rng.randint(1, 16), rng.randint(1, 16))
         names = ["v%d" % i for i in range(k)]
         index = {name: i for i, name in enumerate(names)}
-        fn = normalize(parse_expression(random_expression(rng, names)), index)
+        fn = read_function(random_expression(rng, names), index)
         assert len(fn.support) <= 16
         cube = Cube(tuple(rng.randint(0, 2) for _ in range(k)))
         assert eval_on_cube(fn, cube) == eval_oracle(fn, cube)

@@ -16,8 +16,6 @@ from bnkit import (
     vertices,
 )
 from bnkit.cubes import CubeError, eval_mask
-from bnkit.expressions import parse_expression
-from bnkit.network import normalize
 from nettools import (
     eval_oracle,
     image_table,
@@ -25,6 +23,7 @@ from nettools import (
     oracle_is_trap,
     random_expression,
     random_network,
+    read_function,
 )
 
 EXAMPLE = "targets, factors\na, !b\nb, !a\nc, !(a & !b) & !c\n"
@@ -166,7 +165,7 @@ def test_eval_on_cube_oracle_randomized():
     index = {n: i for i, n in enumerate(names)}
     nonunate = 0
     for _ in range(400):
-        fn = normalize(parse_expression(random_expression(rng, names)), index)
+        fn = read_function(random_expression(rng, names), index)
         cube = Cube(tuple(rng.choice((0, 1, 2)) for _ in names))
         assert eval_on_cube(fn, cube) == eval_oracle(fn, cube)
         nonunate += not is_unate(fn)

@@ -1,46 +1,38 @@
 import pytest
 
-from bnkit.expressions import (
-    And,
-    Const,
-    ExprSyntaxError,
-    Not,
-    Or,
-    Var,
-    parse_expression,
-    variables,
-)
-from nettools import render
+from bnkit.expressions import ExprSyntaxError, parse_expression
+from nettools import And, Const, Not, Or, Tree, Var, render, variables
 
 
 def test_paper_edition_snippet():
-    expr = parse_expression("A | !(C & D)")
+    expr = parse_expression("A | !(C & D)", Tree)
     assert expr == Or((Var("A"), Not(And((Var("C"), Var("D"))))))
 
 
 def test_constants():
-    assert parse_expression("1") == Const(True)
-    assert parse_expression("0") == Const(False)
-    assert parse_expression("True") == Const(True)
-    assert parse_expression("FALSE") == Const(False)
+    assert parse_expression("1", Tree) == Const(True)
+    assert parse_expression("0", Tree) == Const(False)
+    assert parse_expression("True", Tree) == Const(True)
+    assert parse_expression("FALSE", Tree) == Const(False)
 
 
 def test_parser_preserves_structure():
-    assert parse_expression("a & !a") == And((Var("a"), Not(Var("a"))))
+    assert parse_expression("a & !a", Tree) == And((Var("a"), Not(Var("a"))))
 
 
 def test_precedence_and_associativity():
-    expr = parse_expression("a | b & !c | d")
+    expr = parse_expression("a | b & !c | d", Tree)
     assert expr == Or((Var("a"), And((Var("b"), Not(Var("c")))), Var("d")))
 
 
 def test_word_operators():
-    assert parse_expression("a and not b or c") == parse_expression("a & !b | c")
+    words = parse_expression("a and not b or c", Tree)
+    assert words == parse_expression("a & !b | c", Tree)
 
 
 def test_syntax_error_position():
     with pytest.raises(ExprSyntaxError) as exc:
-        parse_expression("a &\n& b")
+        parse_expression("a &\n& b", Tree)
     assert exc.value.line == 2
     assert exc.value.column == 1
 
@@ -48,22 +40,22 @@ def test_syntax_error_position():
 @pytest.mark.parametrize("text", ["", "   ", "a |", "(a", "a b", "a & ()"])
 def test_rejects_malformed(text):
     with pytest.raises(ExprSyntaxError):
-        parse_expression(text)
+        parse_expression(text, Tree)
 
 
 def test_rejects_reserved_identifier():
     with pytest.raises(ExprSyntaxError):
-        parse_expression("a & not")
+        parse_expression("a & not", Tree)
 
 
 def test_variables():
-    assert variables(parse_expression("a | !(b & a) | 1")) == {"a", "b"}
+    assert variables(parse_expression("a | !(b & a) | 1", Tree)) == {"a", "b"}
 
 
 def test_render_round_trip():
     for text in ["a | !(c & d)", "(a | b) & c", "!(!a)", "1", "a & b & !c"]:
-        expr = parse_expression(text)
-        assert parse_expression(render(expr)) == expr
+        expr = parse_expression(text, Tree)
+        assert parse_expression(render(expr), Tree) == expr
 
 
 def _depth(expr, kind):
@@ -77,13 +69,13 @@ def _depth(expr, kind):
 
 def test_deep_nesting():
     # explicit-stack parsing: depth is bounded by the input, not the interpreter
-    assert parse_expression("(" * 5000 + "a" + ")" * 5000) == Var("a")
-    assert _depth(parse_expression("!" * 5000 + "a"), Not) == (5000, Var("a"))
-    assert _depth(parse_expression("not (" * 3000 + "a" + ")" * 3000), Not) == (
+    assert parse_expression("(" * 5000 + "a" + ")" * 5000, Tree) == Var("a")
+    assert _depth(parse_expression("!" * 5000 + "a", Tree), Not) == (5000, Var("a"))
+    assert _depth(parse_expression("not (" * 3000 + "a" + ")" * 3000, Tree), Not) == (
         3000,
         Var("a"),
     )
-    expr = parse_expression("(a | " * 2000 + "b" + ")" * 2000)
+    expr = parse_expression("(a | " * 2000 + "b" + ")" * 2000, Tree)
     assert _depth(expr, Or) == (1, Var("a"))
     inner = expr
     for _ in range(2000):
@@ -99,9 +91,9 @@ def test_deep_nesting():
 )
 def test_deep_asts_compare_hash_and_print(text, leaf):
     # equality, hash and repr walk the tree without recursion
-    expr = parse_expression(text % leaf)
-    same = parse_expression(text % leaf)
-    other = parse_expression(text % "c")
+    expr = parse_expression(text % leaf, Tree)
+    same = parse_expression(text % leaf, Tree)
+    other = parse_expression(text % "c", Tree)
     assert expr == same and not expr != same
     assert expr != other and not expr == other
     assert hash(expr) == hash(same)
@@ -133,5 +125,5 @@ def test_ast_repr_is_the_dataclass_repr():
 )
 def test_deep_nesting_error_positions(text, message, column):
     with pytest.raises(ExprSyntaxError) as exc:
-        parse_expression(text)
+        parse_expression(text, Tree)
     assert str(exc.value) == "%s (line 1, column %d)" % (message, column)

@@ -8,18 +8,21 @@ import random
 
 import pytest
 
-from bnkit import GenSpec, generate_bnet, normalize, parse_bnet, set_function
-from bnkit.expressions import And, Const, ExprSyntaxError, Not, Or, Var, parse_expression
+from bnkit import GenSpec, export_bnet, generate_bnet, parse_bnet, set_function
+from bnkit.expressions import ExprSyntaxError, parse_expression
 from bnkit.generator import FAMILIES
 from bnkit.network import NetworkError, NormalizationError, ParseError
 from nettools import (
+    Tree,
     oracle_suite,
     random_bnet_text,
     random_expression,
     random_nested_expression,
+    read_function,
     reference_intake,
     reference_normalize,
     reference_parse,
+    variables,
 )
 
 BASE = "a, a\nb, b\nc, c\n# a comment and a blank line\n\n"
@@ -69,7 +72,7 @@ def test_set_function_error_messages(text, cap, message):
 )
 def test_normalize_reports_undeclared_names(text, cap, message):
     with pytest.raises(NetworkError) as exc:
-        normalize(parse_expression(text), {"a": 0, "b": 1, "c": 2}, **_cap(cap))
+        read_function(text, {"a": 0, "b": 1, "c": 2}, **_cap(cap))
     assert str(exc.value) == message
 
 
@@ -79,7 +82,7 @@ def test_error_position_on_a_later_line():
     assert str(exc.value) == "unexpected token '&' (line 2, column 3)"
     assert (exc.value.line, exc.value.column) == (2, 3)
     with pytest.raises(ExprSyntaxError) as exc:
-        parse_expression("a |\r\n\n  !(b c)\t")
+        parse_expression("a |\r\n\n  !(b c)\t", Tree)
     assert str(exc.value) == "expected ')' (line 3, column 7)"
 
 
@@ -88,6 +91,58 @@ def test_cap_overflow_without_undeclared_names():
         parse_bnet(BASE + "d, %s\n" % OVERFLOW, clause_cap=2)
     with pytest.raises(NormalizationError):
         set_function(parse_bnet(BASE), "d", OVERFLOW, clause_cap=2)
+
+
+# tokens of random lines: declared names, undeclared ones, operator words
+# in mixed case, symbols, constants, a character no token starts with and
+# a line break
+FUZZ_TOKENS = (
+    ["a", "b", "c", "d"] * 4
+    + ["zz", "yy", "q", "_"]
+    + ["and", "AND", "Or", "or", "not", "NoT"]
+    + ["!", "!", "&", "&", "|", "|", "(", "(", ")", ")"]
+    + ["0", "1", "true", "FALSE", "$", "\n"]
+)
+
+
+def _fuzz_outcome(text, base, index):
+    """What editing d of `base` to `text` gives: the function's triple, or
+    the error's type and message."""
+    try:
+        fn = set_function(base, "d", text).functions[index["d"]]
+    except (ExprSyntaxError, NetworkError) as exc:
+        return type(exc), str(exc)
+    return fn.dnf.clauses, fn.primes.clauses, fn.support
+
+
+def _reference_outcome(text, index):
+    """The outcome the reference gives: its syntax error, else the first
+    undeclared name in sorted order, else its function."""
+    try:
+        tree = reference_parse(text)
+    except ExprSyntaxError as exc:
+        return ExprSyntaxError, str(exc)
+    missing = variables(tree) - index.keys()
+    if missing:
+        return NetworkError, "undeclared component %r referenced" % min(missing)
+    return reference_normalize(tree, index)
+
+
+def test_intake_errors_match_reference_on_random_token_strings():
+    # the error path scans a failed line a second time for its names; the
+    # errors it reports, and the functions of lines that build, are the
+    # reference's
+    rng = random.Random(27)
+    base = parse_bnet(BASE + "d, d\n")
+    index = dict(base.index)
+    kinds = {ExprSyntaxError: 0, NetworkError: 0, "built": 0}
+    for _ in range(5000):
+        words = [rng.choice(FUZZ_TOKENS) for _ in range(rng.randint(1, 8))]
+        text = rng.choice([" ", " ", ""]).join(words)
+        expected = _reference_outcome(text, index)
+        assert _fuzz_outcome(text, base, index) == expected, text
+        kinds[expected[0] if isinstance(expected[0], type) else "built"] += 1
+    assert min(kinds.values()) >= 100, kinds
 
 
 def _assert_same_intake(text):
@@ -99,6 +154,42 @@ def _assert_same_intake(text):
     )
     assert net.dependents == dependents
     assert net.occ_count == occ_count
+
+
+@pytest.mark.parametrize("name", ["_", "__"])
+def test_underscore_only_names(name):
+    # the grammar's names are [A-Za-z0-9_]+: underscores alone make one
+    text = "a, %s | a\n%s, !a & %s\n" % (name, name, name)
+    _assert_same_intake(text)
+    net = parse_bnet(text)
+    edited = set_function(net, name, "a")
+    assert edited.functions[1].dnf.clauses == (((0, 1),),)
+    added = set_function(parse_bnet("a, a\n"), name, "!%s | a" % name)
+    assert added.names == ("a", name)
+    for model in (net, edited, added):
+        exported = export_bnet(model)
+        assert export_bnet(parse_bnet(exported)) == exported
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("", "invalid component name ''"),
+        ("\u00e9", "invalid component name '\u00e9'"),
+        ("x\u00b2", "invalid component name 'x\u00b2'"),
+        ("a-b", "invalid component name 'a-b'"),
+        ("a b", "invalid component name 'a b'"),
+        ("NOT", "reserved word 'NOT' used as component name"),
+        ("1", "reserved word '1' used as component name"),
+    ],
+)
+def test_bad_component_names_are_refused(name, message):
+    with pytest.raises(ParseError) as exc:
+        parse_bnet("a, a\n%s, a\n" % name)
+    assert str(exc.value) == "line 2: " + message
+    with pytest.raises(NetworkError) as exc:
+        set_function(parse_bnet("a, a\n"), name, "a")
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -116,7 +207,7 @@ def test_intake_matches_reference_on_random_lines():
     names = ["v%d" % i for i in range(5)]
     lines = [random_expression(rng, names) for _ in range(500)]
     for line in lines:
-        assert parse_expression(line) == reference_parse(line)
+        assert parse_expression(line, Tree) == reference_parse(line)
     for start in range(0, len(lines), len(names)):
         chunk = lines[start:start + len(names)]
         _assert_same_intake(
@@ -131,7 +222,7 @@ def test_intake_matches_reference_on_nested_lines():
     index = {name: i for i, name in enumerate(names)}
     lines = [random_nested_expression(rng, names) for _ in range(2000)]
     for line in lines:
-        assert parse_expression(line) == reference_parse(line)
+        assert parse_expression(line, Tree) == reference_parse(line)
     for start in range(0, len(lines), len(names)):
         chunk = lines[start:start + len(names)]
         _assert_same_intake(
@@ -187,7 +278,7 @@ def test_one_name_lines_match_reference(text, error, entry):
         "added": lambda: set_function(parse_bnet(LEAF_BASE), "d", text),
     }[entry]
     if error is None:
-        assert parse_expression(text) == reference_parse(text)
+        assert parse_expression(text, Tree) == reference_parse(text)
         fn = build().functions[4]
         expected = reference_normalize(reference_parse(text), LEAF_INDEX)
         assert (fn.dnf.clauses, fn.primes.clauses, fn.support) == expected
@@ -199,26 +290,6 @@ def test_one_name_lines_match_reference(text, error, entry):
     with pytest.raises(kind) as exc:
         build()
     assert str(exc.value) == message
-
-
-def test_intake_builds_no_tree(monkeypatch):
-    made = []
-
-    def counting(init):
-        def counted(self, *args):
-            made.append(type(self).__name__)
-            init(self, *args)
-
-        return counted
-
-    for node_type in (Var, Const, Not, And, Or):
-        monkeypatch.setattr(node_type, "__init__", counting(node_type.__init__))
-    for family in FAMILIES:
-        net = parse_bnet(generate_bnet(GenSpec(n=1000, family=family, seed=5)))
-        net = set_function(net, "x001", "!(x002 & !x003) | not (x004 | 1)")
-    assert made == []
-    parse_expression("!(a | b)")  # the counting sees a tree being built
-    assert made == ["Var", "Var", "Or", "Not"]
 
 
 # (entry point, arguments, raises): each one succeeding and failing

@@ -12,11 +12,20 @@ from bnkit.network import (
     ParseError,
     _Clauses,
     _literal_table,
-    _to_clauses,
     evaluate,
-    normalize,
 )
-from nettools import is_unate, layered_expression, prime_oracle, random_expression
+from nettools import (
+    And,
+    Const,
+    Not,
+    Tree,
+    Var,
+    is_unate,
+    layered_expression,
+    prime_oracle,
+    random_expression,
+    read_function,
+)
 
 EXAMPLE = "targets, factors\na, !b\nb, !a\nc, !(a & !b) & !c\n"
 
@@ -103,21 +112,16 @@ def test_deep_nesting_parses():
         net = set_function(parse_bnet(EXAMPLE), "a", "!" * (depth + 1) + "b")
         assert net.functions[0].dnf.clauses == (((1, 0),),)
     # a group under each `!`: the polarity flips at every open parenthesis
-    index = {"a": 0, "b": 1}
     for depth, clauses in ((5000, (((0, 1), (1, 0)),)), (5001, (((0, 0),), ((1, 1),)))):
         text = "!(" * depth + "a & !b" + ")" * depth
-        expected = normalize(parse_expression(text), index)
-        assert expected.dnf.clauses == clauses
         for net in (
             parse_bnet("a, %s\nb, b\n" % text),
             set_function(parse_bnet("a, a\nb, b\n"), "a", text),
         ):
             fn = net.functions[0]
-            assert (fn.dnf, fn.primes, fn.support) == (
-                expected.dnf,
-                expected.primes,
-                expected.support,
-            )
+            # both functions are unate: each DNF is its own primes
+            assert (fn.dnf.clauses, fn.support) == (clauses, (0, 1))
+            assert fn.primes is fn.dnf
     net = parse_bnet(_nested_canalizing_chain(400))
     fn = net.functions[-1]
     assert fn.support == tuple(range(400))
@@ -174,12 +178,12 @@ def test_primes_match_oracle():
     texts += [random_expression(rng, names) for _ in range(100)]
     non_unate = 0
     for text in texts:
-        fn = normalize(parse_expression(text), index)
+        fn = read_function(text, index)
         assert fn.primes.clauses == prime_oracle(fn), text
         non_unate += not is_unate(fn)
     assert non_unate > 100
-    assert normalize(parse_expression("v0 | !v0"), index).primes.is_true
-    assert normalize(parse_expression("0"), index).primes.is_false
+    assert read_function("v0 | !v0", index).primes.is_true
+    assert read_function("0", index).primes.is_false
 
 
 def test_support_is_sorted_tuple():
@@ -200,7 +204,7 @@ def test_contradictory_clause_dropped():
 def test_normalize_three_node_example():
     # third function of the worked example, directly
     index = {"x1": 0, "x2": 1, "x3": 2}
-    fn = normalize(parse_expression("!(x1 & !x2) & !x3"), index)
+    fn = read_function("!(x1 & !x2) & !x3", index)
     assert fn.dnf.clauses == (((0, 0), (2, 0)), ((1, 1), (2, 0)))
     assert fn.primes is fn.dnf
 
@@ -209,16 +213,16 @@ def test_normalization_cap():
     index = {"a%d" % i: i for i in range(8)}
     text = " & ".join("(a%d | !a%d)" % (i, (i + 1) % 8) for i in range(8))
     with pytest.raises(NormalizationError):
-        normalize(parse_expression(text), index, clause_cap=4)
+        read_function(text, index, clause_cap=4)
     # the cap covers the primes too: f has 3 clauses and fits; closing
     # them under consensus (6 primes) takes 24 units of work
     index = {name: i for i, name in enumerate("abc")}
-    expr = parse_expression("(a & !b) | (b & !c) | (c & !a)")
-    assert len(_to_clauses(expr, _Clauses(_literal_table(index), 4))) == 3
+    text = "(a & !b) | (b & !c) | (c & !a)"
+    assert len(parse_expression(text, _Clauses(_literal_table(index), 4))) == 3
     for cap in (4, 23):
         with pytest.raises(NormalizationError, match="work cap"):
-            normalize(expr, index, clause_cap=cap)
-    assert len(normalize(expr, index, clause_cap=24).primes.clauses) == 6
+            read_function(text, index, clause_cap=cap)
+    assert len(read_function(text, index, clause_cap=24).primes.clauses) == 6
 
 
 def _chain_with_escape(k):
@@ -226,24 +230,24 @@ def _chain_with_escape(k):
     k + 2 primes (the consensus `b0 & c` is the new one)."""
     names = ["c"] + ["a%d" % i for i in range(k)] + ["b%d" % i for i in range(k)]
     text = " | ".join("(a%d & b%d)" % (i, i) for i in range(k)) + " | (c & !a0)"
-    return parse_expression(text), {name: i for i, name in enumerate(names)}
+    return text, {name: i for i, name in enumerate(names)}
 
 
 def test_primes_build_is_bounded_in_time():
     # one clash: the primes stay few however many clauses f has
-    expr, index = _chain_with_escape(20)
+    text, index = _chain_with_escape(20)
     t0 = time.monotonic()
-    assert len(normalize(expr, index).primes.clauses) == 22
+    assert len(read_function(text, index).primes.clauses) == 22
     assert time.monotonic() - t0 < 1.0
     text, names = layered_expression(3, 5)
     index = {name: i for i, name in enumerate(names)}
-    assert len(normalize(parse_expression(text), index).primes.clauses) == 1629
+    assert len(read_function(text, index).primes.clauses) == 1629
     # a layer more and the work cap ends the build early
     text, names = layered_expression(3, 6)
     index = {name: i for i, name in enumerate(names)}
     t0 = time.monotonic()
     with pytest.raises(NormalizationError, match="work cap"):
-        normalize(parse_expression(text), index)
+        read_function(text, index)
     assert time.monotonic() - t0 < 10.0
 
 
@@ -252,7 +256,7 @@ def test_dnf_well_formed_random():
     names = ["v%d" % i for i in range(5)]
     index = {n: i for i, n in enumerate(names)}
     for _ in range(150):
-        fn = normalize(parse_expression(random_expression(rng, names)), index)
+        fn = read_function(random_expression(rng, names), index)
         clause_sets = [frozenset(c) for c in fn.dnf.clauses]
         for cs in clause_sets:
             assert not any((comp, 1 - val) in cs for comp, val in cs)
@@ -272,8 +276,8 @@ def test_dnf_matches_source_truth_table():
     ]
     texts += [random_expression(rng, names) for _ in range(120)]
     for text in texts:
-        expr = parse_expression(text)
-        fn = normalize(expr, index)
+        expr = parse_expression(text, Tree)
+        fn = read_function(text, index)
         read = {comp for clause in fn.primes.clauses for comp, _ in clause}
         assert read <= set(fn.support)
         for state in product((0, 1), repeat=len(names)):
@@ -283,8 +287,6 @@ def test_dnf_matches_source_truth_table():
 
 
 def _eval_ast(expr, env):
-    from bnkit.expressions import And, Const, Not, Or, Var
-
     if isinstance(expr, Var):
         return env[expr.name]
     if isinstance(expr, Const):
