@@ -28,7 +28,6 @@ from .network import (
     set_function,
 )
 from .solver import (
-    Query,
     SolverTimeout,
     fixed_points,
     maximal_trap_spaces,
@@ -43,7 +42,6 @@ __all__ = [
     "GenSpec",
     "NetworkError",
     "ParseError",
-    "Query",
     "SolverTimeout",
     "attractors",
     "build_stg",

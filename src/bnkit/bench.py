@@ -16,14 +16,18 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .network import parse_bnet
-from .solver import Query, SolverTimeout, run_query
+from .solver import (
+    SolverTimeout,
+    fixed_points,
+    maximal_trap_spaces,
+    minimal_trap_spaces,
+)
 
-QUERY_KINDS = {
-    "fix": "fixed-points",
-    "min": "minimal-trap-spaces",
-    "max": "maximal-trap-spaces",
+PROBLEMS = {
+    "fix": fixed_points,
+    "min": minimal_trap_spaces,
+    "max": maximal_trap_spaces,
 }
-PROBLEMS = tuple(QUERY_KINDS)
 THRESHOLDS = (0.5, 2.0, 10.0, 60.0, 600.0, 3600.0)
 THRESHOLD_LABELS = ("<0.5s", "<2s", "<10s", "<1min", "<10min", "<1h")
 
@@ -45,9 +49,9 @@ def run_model(path, problem, timeout):
         net = parse_bnet(path.read_text(encoding="utf-8-sig"))
         if time.monotonic() > deadline:
             raise SolverTimeout
-        # an unknown problem name fails in run_query as an unknown kind
-        query = Query(QUERY_KINDS.get(problem, problem), limit=1)
-        next(run_query(net, query, deadline), None)
+        if problem not in PROBLEMS:
+            raise ValueError("unknown problem %r" % problem)
+        next(PROBLEMS[problem](net, limit=1, deadline=deadline), None)
         status = "ok"
     except SolverTimeout:
         status = "timeout"

@@ -254,3 +254,7 @@ def main(argv=None, out=None, err=None):
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -184,14 +184,14 @@ def eval_mask(fn, values):
     literal contradicts it.
     """
     mask = 1
-    for prime in fn.primes.clauses:
+    for prime in fn.primes:
         for comp, val in prime:
             if values[comp] != val:
                 break
         else:
             mask = 0
             break
-    for clause in fn.dnf.clauses:
+    for clause in fn.dnf:
         for comp, val in clause:
             if values[comp] == 1 - val:
                 break

@@ -95,7 +95,7 @@ def _successor_kernel(net, mode, restrict):
     functions = []
     for i, fn in enumerate(net.functions):
         pairs = []
-        for clause in fn.dnf.clauses:
+        for clause in fn.dnf:
             mask = pattern = 0
             for comp, val in clause:
                 bit = 1 << (n - 1 - comp)
@@ -339,7 +339,7 @@ def influence_graph(net):
     """Signed syntactic dependency graph read off the canonical DNFs."""
     edges = set()
     for target, fn in enumerate(net.functions):
-        for clause in fn.dnf.clauses:
+        for clause in fn.dnf:
             for comp, val in clause:
                 edges.add((net.names[comp], "+" if val else "-", net.names[target]))
     return InfluenceGraph(net.names, sorted(edges))

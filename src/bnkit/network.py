@@ -14,7 +14,6 @@ from __future__ import annotations
 import gc
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import wraps
 from itertools import chain
 from operator import itemgetter
@@ -115,7 +114,7 @@ class _NetworkLiterals(dict):
         comp = self.index[name]
         pair = [(comp, 0), (comp, 1)]
         for reader in self.net.dependents[comp] if comp < self.net.n else ():
-            for clause in self.net.functions[reader].dnf.clauses:
+            for clause in self.net.functions[reader].dnf:
                 for literal in clause:
                     if literal[0] == comp:
                         pair[literal[1]] = literal
@@ -172,7 +171,8 @@ class _Names(set):
 
 
 def _primes(dnf, cap):
-    """Prime implicants of a canonical DNF that is not unate, as a canonical DNF.
+    """Prime implicants of a canonical DNF that is not unate, as a clause
+    tuple of the same form.
 
     (A unate DNF, none of whose clauses subsumes another, is its own
     primes.)  The DNF is closed under consensus (Quine):
@@ -216,7 +216,7 @@ def _primes(dnf, cap):
         return looked + len(rarest)
 
     # the clauses of a canonical DNF subsume none of each other
-    initial = [frozenset(clause) for clause in dnf.clauses]
+    initial = [frozenset(clause) for clause in dnf]
     for clause in initial:
         add(clause)
     work = 0
@@ -228,7 +228,7 @@ def _primes(dnf, cap):
             for other in partners:
                 merged = (clause | other) - {(comp, 0), (comp, 1)}
                 if not merged:
-                    return Dnf(((),))  # x and !x are implicants: f is 1
+                    return ((),)  # x and !x are implicants: f is 1
                 if not any((c, 1 - v) in merged for c, v in merged):
                     work += keep(merged)
                 if work > cap:
@@ -241,31 +241,19 @@ def _primes(dnf, cap):
     return dnf if kept == set(initial) else _canonical(kept)
 
 
-@dataclass(frozen=True, slots=True)
-class Dnf:
-    clauses: tuple
-
-    @property
-    def is_false(self):
-        return not self.clauses
-
-    @property
-    def is_true(self):
-        return self.clauses == ((),)
-
-
 def _canonical(clause_set):
-    clauses = sorted(tuple(sorted(clause)) for clause in clause_set)
-    return Dnf(tuple(clauses))
+    return tuple(sorted(tuple(sorted(clause)) for clause in clause_set))
 
 
 class NodeFunction:
-    """One component's update function: its canonical DNF and its primes.
+    """One component's update function: its clauses and its primes.
 
-    ``primes``, the prime implicants of f as a canonical DNF, is the DNF
-    itself when consensus adds nothing to it, as for every unate DNF.  f
-    is 1 on a whole cube iff the cube's fixed literals contain a prime.  ``support`` is the tuple of the
-    components the function reads, in index order.
+    ``dnf`` is the canonical DNF of f, a clause tuple as the module
+    docstring describes.  ``primes``, the prime implicants of f as a tuple
+    of the same form, is ``dnf`` itself when consensus adds nothing to it,
+    as for every unate DNF.  f is 1 on a whole cube iff the cube's fixed
+    literals contain a prime.  ``support`` is the tuple of the components
+    the function reads, in index order.
     """
 
     __slots__ = ("dnf", "primes", "support")
@@ -276,7 +264,7 @@ class NodeFunction:
         self.support = support
 
     def __repr__(self):
-        return "NodeFunction(%s)" % (self.dnf.clauses,)
+        return "NodeFunction(%s)" % (self.dnf,)
 
 
 def _node_function(clause_set, cap):
@@ -291,7 +279,7 @@ def _node_function(clause_set, cap):
     if len(clause_set) == 1:
         (clause,) = clause_set
         literals = tuple(sorted(clause))
-        dnf = Dnf((literals,))
+        dnf = (literals,)
         return NodeFunction(dnf, dnf, tuple(dict(literals)))
     clauses = []
     used = set()
@@ -299,7 +287,7 @@ def _node_function(clause_set, cap):
         clauses.append(tuple(sorted(clause)))
         used |= clause
     clauses.sort()
-    dnf = Dnf(tuple(clauses))
+    dnf = tuple(clauses)
     signs = dict(used)
     primes = dnf if len(signs) == len(used) else _primes(dnf, cap)
     return NodeFunction(dnf, primes, tuple(sorted(signs)))
@@ -331,7 +319,7 @@ def _read_function(text, index, clauses):
 
 def evaluate(fn, state):
     """DNF evaluation of the function at a binary state."""
-    for clause in fn.dnf.clauses:
+    for clause in fn.dnf:
         for comp, val in clause:
             if state[comp] != val:
                 break
@@ -366,7 +354,7 @@ class BooleanNetwork:
                         "function of %r references undeclared component" % names[i]
                     )
                 self.dependents[comp].append(i)
-        clauses = chain.from_iterable(fn.dnf.clauses for fn in self.functions)
+        clauses = chain.from_iterable(fn.dnf for fn in self.functions)
         counts = Counter(map(itemgetter(0), chain.from_iterable(clauses)))
         self.occ_count = [counts[i] for i in range(self.n)]
 
@@ -491,13 +479,13 @@ def set_function(net, name, expr_text, clause_cap=DEFAULT_CLAUSE_CAP):
 
 
 def _render_dnf(dnf, names):
-    if dnf.is_false:
+    if not dnf:
         return "0"
-    if dnf.is_true:
+    if dnf == ((),):
         return "1"
     parts = []
-    multi = len(dnf.clauses) > 1
-    for clause in dnf.clauses:
+    multi = len(dnf) > 1
+    for clause in dnf:
         lits = " & ".join(
             (names[comp] if val else "!" + names[comp]) for comp, val in clause
         )

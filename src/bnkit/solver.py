@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
 from itertools import islice
 
 from .cubes import FREE, Cube, closure, eval_mask, is_trap_space
@@ -59,13 +58,6 @@ _SIM_STEPS = 60  # synchronous steps of the descent's simulation
 
 class SolverTimeout(Exception):
     """Cooperative deadline expired between branching decisions."""
-
-
-@dataclass(frozen=True)
-class Query:
-    kind: str  # fixed-points | minimal-trap-spaces | maximal-trap-spaces
-    within: Cube | None = None
-    limit: int | None = None
 
 
 class _Deadline:
@@ -305,7 +297,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
             if vi == 1:
                 candidates = []
                 killers = [i]
-                for prime in fn.primes.clauses:
+                for prime in fn.primes:
                     unassigned = []
                     for comp, val in prime:
                         v = values[comp]
@@ -327,7 +319,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
                 return no_implications
             implied = []
             why = reasons[i]
-            for clause in fn.dnf.clauses:
+            for clause in fn.dnf:
                 forcible = []
                 for comp, val in clause:
                     v = values[comp]
@@ -452,7 +444,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
         for i in scope
         if values[i] != _UNASSIGNED
         or unassigned_support[i] < len(functions[i].support)
-        or functions[i].primes.clauses in ((), ((),))
+        or functions[i].primes in ((), ((),))
     ]
     for i in scope:
         if len(allowed[i]) == 1:
@@ -598,7 +590,7 @@ def _simulate(net, state, steps, clock):
     clock.check_now()
     values = list(net.image(state))
     changed = [i for i, (new, old) in enumerate(zip(values, state)) if new != old]
-    dnfs = [fn.dnf.clauses for fn in net.functions]
+    dnfs = [fn.dnf for fn in net.functions]
     dependents = net.dependents
     # woken_at[t] == k: t was already evaluated at step k
     woken_at = [0] * net.n
@@ -759,7 +751,7 @@ def _scc_value_domains(net, values, scc_set, clock):
 
     def supported(j, v, domains):
         if v == 1:
-            for prime in functions[j].primes.clauses:
+            for prime in functions[j].primes:
                 for c, val in prime:
                     if c in scc_set:
                         if val not in domains[c]:
@@ -769,7 +761,7 @@ def _scc_value_domains(net, values, scc_set, clock):
                 else:
                     return True
             return False
-        for clause in functions[j].dnf.clauses:
+        for clause in functions[j].dnf:
             for c, val in clause:
                 if c in scc_set:
                     if 1 - val in domains[c]:
@@ -914,19 +906,3 @@ def maximal_trap_spaces(net, within=None, limit=None, deadline=None):
     not_full = [[(i, {0, 1}) for i in range(net.n)]]
     found = _trap_search(net, allowed, not_full, True, clock, block=_not_subset_clause)
     yield from islice(found, limit)
-
-
-# ---------------------------------------------------------------------------
-
-
-def run_query(net, query, deadline=None):
-    if query.kind == "fixed-points":
-        return (
-            Cube.from_state(s)
-            for s in fixed_points(net, query.within, query.limit, deadline)
-        )
-    if query.kind == "minimal-trap-spaces":
-        return minimal_trap_spaces(net, query.within, query.limit, deadline)
-    if query.kind == "maximal-trap-spaces":
-        return maximal_trap_spaces(net, query.within, query.limit, deadline)
-    raise ValueError("unknown query kind %r" % query.kind)

@@ -17,7 +17,6 @@ from bnkit.dynamics import INC
 from bnkit.expressions import ExprSyntaxError
 from bnkit.network import (
     DEFAULT_CLAUSE_CAP,
-    Dnf,
     _Clauses,
     _literal_table,
     _primes,
@@ -309,7 +308,7 @@ def is_unate(fn):
     signs = {}
     return all(
         signs.setdefault(comp, val) == val
-        for clause in fn.dnf.clauses
+        for clause in fn.dnf
         for comp, val in clause
     )
 
@@ -388,7 +387,7 @@ def _scc_value_domains(net, values, scc_set, clock):
                 dom = domains[j]
                 if 1 in dom:
                     ok = False
-                    for prime in fn.primes.clauses:
+                    for prime in fn.primes:
                         good = True
                         for c, val in prime:
                             if c in scc_set:
@@ -406,7 +405,7 @@ def _scc_value_domains(net, values, scc_set, clock):
                         changed = True
                 if 0 in dom:
                     ok = True
-                    for clause in fn.dnf.clauses:
+                    for clause in fn.dnf:
                         blocked = False
                         for c, val in clause:
                             if c in scc_set:
@@ -646,7 +645,7 @@ def reference_normalize(expr, index):
     unate = all(
         signs.setdefault(comp, val) == val for clause in clauses for comp, val in clause
     )
-    primes = clauses if unate else _primes(Dnf(clauses), DEFAULT_CLAUSE_CAP).clauses
+    primes = clauses if unate else _primes(clauses, DEFAULT_CLAUSE_CAP)
     return clauses, primes, support
 
 

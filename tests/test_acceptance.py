@@ -127,7 +127,7 @@ def test_criterion_4_eval_on_cube():
         else:
             non_unate += 1
             if len(fn.support) <= 4:
-                assert fn.primes.clauses == prime_oracle(fn)
+                assert fn.primes == prime_oracle(fn)
     assert non_unate > 0
     _report(4, "eval exactness, %d non-unate of 10000" % non_unate, time.monotonic() - t0, 60.0)
 

@@ -23,11 +23,14 @@ def test_deeply_nested_model_is_an_ok_row(tmp_path):
     assert [r.status for r in records] == ["ok", "ok"]
 
 
-def test_all_problems(tmp_path):
+def test_all_problems(tmp_path, capsys):
     (tmp_path / "m.bnet").write_text("x, !y\ny, x\n")
     for problem in bench.PROBLEMS:
         rec = bench.run_model(tmp_path / "m.bnet", problem, 30.0)
         assert rec.status == "ok"
+    # an unknown problem is a classified error: no traceback is printed
+    assert bench.run_model(tmp_path / "m.bnet", "all", 30.0).status == "error"
+    assert capsys.readouterr().err == ""
 
 
 def test_model_with_byte_order_mark_is_an_ok_row(tmp_path):
@@ -88,9 +91,9 @@ def test_jobs_parallel(tmp_path, monkeypatch):
 
 
 def test_unexpected_error_is_an_error_row(tmp_path, monkeypatch):
-    def broken(net, query, deadline=None):
+    def broken(net, limit=None, deadline=None):
         raise RuntimeError("solver bug")
 
-    monkeypatch.setattr(bench, "run_query", broken)
+    monkeypatch.setitem(bench.PROBLEMS, "fix", broken)
     records = bench.run_suite(write_suite(tmp_path), "fix", 30.0, jobs=1)
     assert [r.status for r in records] == ["error", "error", "error"]

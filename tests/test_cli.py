@@ -1,7 +1,11 @@
 import functools
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,7 +135,7 @@ def test_stg_projected_requires_mp(model):
     assert ["000", "111"] in obj["edges"]
 
 
-def test_influence(model):
+def test_influence(model, tmp_path):
     code, out, _ = run("influence", model, "--format", "json")
     assert code == 0
     edges = {tuple(e) for e in json.loads(out)["edges"]}
@@ -142,6 +146,18 @@ def test_influence(model):
         ("b", "+", "c"),
         ("c", "-", "c"),
     }
+    path = tmp_path / "m.bnet"
+    path.write_text("a, !b\nb, a\n")
+    code, out, err = run("influence", str(path), "--format", "dot")
+    assert (code, err) == (0, "")
+    assert out == (
+        "digraph influence {\n"
+        '  "a";\n'
+        '  "b";\n'
+        '  "a" -> "b" [label="+"];\n'
+        '  "b" -> "a" [label="-"];\n'
+        "}\n"
+    )
 
 
 def test_empty_model(tmp_path):
@@ -169,6 +185,21 @@ def test_exit_code_parse_error(tmp_path):
     assert "model error" in err
     code, _, _ = run("fixpoints", str(tmp_path / "missing.bnet"))
     assert code == 2
+
+
+def test_module_run_exits_with_the_model_error(tmp_path):
+    # `python -m bnkit.cli` behaves as the console script
+    path = tmp_path / "bad.bnet"
+    path.write_text("a, a & zz\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(bnkit.cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "bnkit.cli", "fixpoints", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "undeclared component 'zz' referenced" in done.stderr
 
 
 def test_deeply_nested_model_is_read(tmp_path):

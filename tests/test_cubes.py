@@ -44,6 +44,11 @@ def test_parse_and_format():
         Cube.parse("d=1", names)
     with pytest.raises(CubeError, match="given twice"):
         Cube.parse("a=1,a=0", names)
+    with pytest.raises(CubeError, match="expected name=value in 'b'"):
+        Cube.parse("a=1,b", names)
+    assert str(Cube.parse("a=1,,b=0", names)) == "10*"
+    with pytest.raises(CubeError, match=r"cube symbols must be 0, 1 or \*"):
+        Cube.parse("0x", ("a", "b"))
 
 
 def test_contains():
@@ -60,6 +65,8 @@ def test_subset():
     assert Cube.parse("100", names).subset(Cube.parse("10*", names))
     assert not Cube.parse("10*", names).subset(Cube.parse("100", names))
     assert Cube.parse("0*1", names).subset(Cube.full(3))
+    with pytest.raises(CubeError, match="length mismatch"):
+        Cube.full(3).subset(Cube.full(2))
 
 
 def test_intersect():
@@ -70,6 +77,8 @@ def test_intersect():
     assert Cube.parse("100", names).intersect(Cube.parse("01*", names)) is None
     c = Cube.parse("1*0", names)
     assert c.intersect(c) == c
+    with pytest.raises(CubeError, match="length mismatch"):
+        c.intersect(Cube.full(2))
 
 
 def test_intersect_matches_vertex_sets():
@@ -232,7 +241,7 @@ def test_trap_intersection_closed():
 def test_eval_mask_nonunate_uses_primes():
     net = parse_bnet("a, a\nb, b\nv, (a & !b) | (!a & b)")
     fn = net.functions[2]
-    assert fn.primes.clauses == fn.dnf.clauses
+    assert fn.primes == fn.dnf
     # false side on a mixed cube: no prime is fully fixed true there
     assert eval_mask(fn, (2, 2, 2)) == 3
     assert eval_mask(fn, (1, 0, 2)) == 2
@@ -241,7 +250,7 @@ def test_eval_mask_nonunate_uses_primes():
     net = parse_bnet("a, a\nb, b\nv, (a & b) | (!a & b)")
     fn = net.functions[2]
     assert not is_unate(fn)
-    assert fn.primes.clauses == (((1, 1),),)
+    assert fn.primes == (((1, 1),),)
     assert eval_mask(fn, (2, 1, 2)) == 2
 
 

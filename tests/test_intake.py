@@ -112,7 +112,7 @@ def _fuzz_outcome(text, base, index):
         fn = set_function(base, "d", text).functions[index["d"]]
     except (ExprSyntaxError, NetworkError) as exc:
         return type(exc), str(exc)
-    return fn.dnf.clauses, fn.primes.clauses, fn.support
+    return fn.dnf, fn.primes, fn.support
 
 
 def _reference_outcome(text, index):
@@ -149,7 +149,7 @@ def _assert_same_intake(text):
     net = parse_bnet(text)
     names, functions, dependents, occ_count = reference_intake(text)
     assert net.names == names
-    assert [(fn.dnf.clauses, fn.primes.clauses, fn.support) for fn in net.functions] == (
+    assert [(fn.dnf, fn.primes, fn.support) for fn in net.functions] == (
         functions
     )
     assert net.dependents == dependents
@@ -163,7 +163,7 @@ def test_underscore_only_names(name):
     _assert_same_intake(text)
     net = parse_bnet(text)
     edited = set_function(net, name, "a")
-    assert edited.functions[1].dnf.clauses == (((0, 1),),)
+    assert edited.functions[1].dnf == (((0, 1),),)
     added = set_function(parse_bnet("a, a\n"), name, "!%s | a" % name)
     assert added.names == ("a", name)
     for model in (net, edited, added):
@@ -233,7 +233,7 @@ def test_intake_matches_reference_on_nested_lines():
         name = names[i % len(names)]
         fn = set_function(base, name, line).functions[index[name]]
         expected = reference_normalize(reference_parse(line), index)
-        assert (fn.dnf.clauses, fn.primes.clauses, fn.support) == expected
+        assert (fn.dnf, fn.primes, fn.support) == expected
 
 
 LEAF_BASE = "a, a\nb, b\n12, !a\nx_1, b\n"
@@ -281,7 +281,7 @@ def test_one_name_lines_match_reference(text, error, entry):
         assert parse_expression(text, Tree) == reference_parse(text)
         fn = build().functions[4]
         expected = reference_normalize(reference_parse(text), LEAF_INDEX)
-        assert (fn.dnf.clauses, fn.primes.clauses, fn.support) == expected
+        assert (fn.dnf, fn.primes, fn.support) == expected
         assert fn.primes is fn.dnf
         return
     kind, message = error
@@ -385,7 +385,7 @@ def test_parsed_model_shares_one_object_per_literal(build):
     first = {}
     for fn in net.functions:
         for dnf in (fn.dnf, fn.primes):
-            for clause in dnf.clauses:
+            for clause in dnf:
                 for literal in clause:
                     assert first.setdefault(literal, literal) is literal
     assert len(first) > 2

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from bnkit import export_bnet, parse_bnet, set_function
+from bnkit import BooleanNetwork, export_bnet, parse_bnet, set_function
 from bnkit.expressions import parse_expression
 from bnkit.network import (
     NetworkError,
@@ -41,9 +41,9 @@ def test_parse_worked_example():
     net = parse_bnet(EXAMPLE)
     assert net.names == ("a", "b", "c")
     names = list(net.names)
-    assert net.functions[0].dnf.clauses == ((lit(names, "!b"),),)
-    assert net.functions[1].dnf.clauses == ((lit(names, "!a"),),)
-    assert net.functions[2].dnf.clauses == (
+    assert net.functions[0].dnf == ((lit(names, "!b"),),)
+    assert net.functions[1].dnf == ((lit(names, "!a"),),)
+    assert net.functions[2].dnf == (
         (lit(names, "!a"), lit(names, "!c")),
         (lit(names, "b"), lit(names, "!c")),
     )
@@ -64,7 +64,7 @@ def test_parse_identity():
 def test_parse_comments_and_blank_lines():
     net = parse_bnet("# header comment\n\na, 1  # constant\n")
     assert net.names == ("a",)
-    assert net.functions[0].dnf.is_true
+    assert net.functions[0].dnf == ((),)
 
 
 def test_parse_crlf():
@@ -80,6 +80,14 @@ def test_parse_errors():
     with pytest.raises(ParseError) as exc:
         parse_bnet("a, 1\nb, a &&\n")
     assert exc.value.line == 2
+    # a network built directly checks its names and its functions' reads
+    fn = read_function("b", {"a": 0, "b": 1})
+    with pytest.raises(NetworkError, match="duplicate component name 'a'"):
+        BooleanNetwork([("a", fn), ("a", fn)])
+    with pytest.raises(
+        NetworkError, match="function of 'a' references undeclared component"
+    ):
+        BooleanNetwork([("a", fn)])
 
 
 def test_constant_and_reserved_names_rejected():
@@ -105,12 +113,12 @@ def test_deep_nesting_parses():
     # the parser and the DNF builder keep explicit stacks: depth is unbounded
     for depth in (260, 3000):
         net = parse_bnet("a, a\nb, %sa%s\n" % ("(" * depth, ")" * depth))
-        assert net.functions[1].dnf.clauses == (((0, 1),),)
+        assert net.functions[1].dnf == (((0, 1),),)
     for depth in (1000, 3000):
         net = parse_bnet("a, a\nb, %sa\n" % ("!" * depth))
-        assert net.functions[1].dnf.clauses == (((0, 1),),)
+        assert net.functions[1].dnf == (((0, 1),),)
         net = set_function(parse_bnet(EXAMPLE), "a", "!" * (depth + 1) + "b")
-        assert net.functions[0].dnf.clauses == (((1, 0),),)
+        assert net.functions[0].dnf == (((1, 0),),)
     # a group under each `!`: the polarity flips at every open parenthesis
     for depth, clauses in ((5000, (((0, 1), (1, 0)),)), (5001, (((0, 0),), ((1, 1),)))):
         text = "!(" * depth + "a & !b" + ")" * depth
@@ -120,7 +128,7 @@ def test_deep_nesting_parses():
         ):
             fn = net.functions[0]
             # both functions are unate: each DNF is its own primes
-            assert (fn.dnf.clauses, fn.support) == (clauses, (0, 1))
+            assert (fn.dnf, fn.support) == (clauses, (0, 1))
             assert fn.primes is fn.dnf
     net = parse_bnet(_nested_canalizing_chain(400))
     fn = net.functions[-1]
@@ -137,7 +145,7 @@ def test_deep_nesting_parses():
 
 def _primes_value(fn, state):
     """Value of the DNF of the primes of f at a binary state."""
-    return int(any(all(state[c] == v for c, v in clause) for clause in fn.primes.clauses))
+    return int(any(all(state[c] == v for c, v in clause) for clause in fn.primes))
 
 
 def test_xor_gets_primes():
@@ -146,7 +154,7 @@ def test_xor_gets_primes():
     assert not is_unate(fn)
     # no two clauses clash on exactly one variable: the DNF is its own primes
     assert fn.primes is fn.dnf
-    assert fn.primes.clauses == prime_oracle(fn)
+    assert fn.primes == prime_oracle(fn)
     for state in product((0, 1), repeat=4):
         assert _primes_value(fn, state) == evaluate(fn, state)
     assert is_unate(net.functions[3])
@@ -179,11 +187,11 @@ def test_primes_match_oracle():
     non_unate = 0
     for text in texts:
         fn = read_function(text, index)
-        assert fn.primes.clauses == prime_oracle(fn), text
+        assert fn.primes == prime_oracle(fn), text
         non_unate += not is_unate(fn)
     assert non_unate > 100
-    assert read_function("v0 | !v0", index).primes.is_true
-    assert read_function("0", index).primes.is_false
+    assert read_function("v0 | !v0", index).primes == ((),)
+    assert read_function("0", index).primes == ()
 
 
 def test_support_is_sorted_tuple():
@@ -193,19 +201,19 @@ def test_support_is_sorted_tuple():
 
 def test_subsumption_removed():
     net = parse_bnet("a, a | (a & b)\nb, b")
-    assert net.functions[0].dnf.clauses == (((0, 1),),)
+    assert net.functions[0].dnf == (((0, 1),),)
 
 
 def test_contradictory_clause_dropped():
     net = parse_bnet("a, (a & !a) | b\nb, b")
-    assert net.functions[0].dnf.clauses == (((1, 1),),)
+    assert net.functions[0].dnf == (((1, 1),),)
 
 
 def test_normalize_three_node_example():
     # third function of the worked example, directly
     index = {"x1": 0, "x2": 1, "x3": 2}
     fn = read_function("!(x1 & !x2) & !x3", index)
-    assert fn.dnf.clauses == (((0, 0), (2, 0)), ((1, 1), (2, 0)))
+    assert fn.dnf == (((0, 0), (2, 0)), ((1, 1), (2, 0)))
     assert fn.primes is fn.dnf
 
 
@@ -222,7 +230,7 @@ def test_normalization_cap():
     for cap in (4, 23):
         with pytest.raises(NormalizationError, match="work cap"):
             read_function(text, index, clause_cap=cap)
-    assert len(read_function(text, index, clause_cap=24).primes.clauses) == 6
+    assert len(read_function(text, index, clause_cap=24).primes) == 6
 
 
 def _chain_with_escape(k):
@@ -237,11 +245,11 @@ def test_primes_build_is_bounded_in_time():
     # one clash: the primes stay few however many clauses f has
     text, index = _chain_with_escape(20)
     t0 = time.monotonic()
-    assert len(read_function(text, index).primes.clauses) == 22
+    assert len(read_function(text, index).primes) == 22
     assert time.monotonic() - t0 < 1.0
     text, names = layered_expression(3, 5)
     index = {name: i for i, name in enumerate(names)}
-    assert len(read_function(text, index).primes.clauses) == 1629
+    assert len(read_function(text, index).primes) == 1629
     # a layer more and the work cap ends the build early
     text, names = layered_expression(3, 6)
     index = {name: i for i, name in enumerate(names)}
@@ -257,7 +265,7 @@ def test_dnf_well_formed_random():
     index = {n: i for i, n in enumerate(names)}
     for _ in range(150):
         fn = read_function(random_expression(rng, names), index)
-        clause_sets = [frozenset(c) for c in fn.dnf.clauses]
+        clause_sets = [frozenset(c) for c in fn.dnf]
         for cs in clause_sets:
             assert not any((comp, 1 - val) in cs for comp, val in cs)
         for i, ci in enumerate(clause_sets):
@@ -278,7 +286,7 @@ def test_dnf_matches_source_truth_table():
     for text in texts:
         expr = parse_expression(text, Tree)
         fn = read_function(text, index)
-        read = {comp for clause in fn.primes.clauses for comp, _ in clause}
+        read = {comp for clause in fn.primes for comp, _ in clause}
         assert read <= set(fn.support)
         for state in product((0, 1), repeat=len(names)):
             env = dict(zip(names, state))
@@ -301,7 +309,7 @@ def _eval_ast(expr, env):
 def test_set_function():
     net = parse_bnet(EXAMPLE)
     edited = set_function(net, "b", "!a | c")
-    assert edited.functions[1].dnf.clauses == (((0, 0),), ((2, 1),))
+    assert edited.functions[1].dnf == (((0, 0),), ((2, 1),))
     # unchanged components keep their functions and order
     assert edited.names == net.names
     assert edited.functions[0].dnf == net.functions[0].dnf

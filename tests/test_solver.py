@@ -7,7 +7,6 @@ import pytest
 from bnkit import (
     Cube,
     GenSpec,
-    Query,
     fixed_points,
     generate_bnet,
     maximal_trap_spaces,
@@ -91,12 +90,9 @@ def test_maximal_single_identity():
 
 
 def test_count_solutions(example):
-    def count(net, query):
-        return sum(1 for _ in solver.run_query(net, query))
-
-    assert count(example, Query("minimal-trap-spaces")) == 2
-    assert count(example, Query("fixed-points")) == 1
-    assert count(parse_bnet(""), Query("fixed-points")) == 1
+    assert sum(1 for _ in minimal_trap_spaces(example)) == 2
+    assert sum(1 for _ in fixed_points(example)) == 1
+    assert sum(1 for _ in fixed_points(parse_bnet(""))) == 1
 
 
 def test_empty_network():
@@ -114,6 +110,8 @@ def test_limit_is_prefix():
     assert list(minimal_trap_spaces(net, limit=2)) == mins[:2]
     with pytest.raises(ValueError):
         list(fixed_points(net, limit=0))
+    with pytest.raises(ValueError, match="restriction cube has wrong length"):
+        list(fixed_points(parse_bnet("a, b\nb, a"), Cube((2,))))
     rng = random.Random(31)
     for _seed, net in oracle_suite(30):
         cube = Cube(tuple(rng.choice((0, 1, 2, 2)) for _ in range(net.n)))
@@ -174,10 +172,15 @@ def test_stream_order_is_pinned():
     cases = [(net, within, None) for net, within in identity_cases()]
     cases += [(parse_bnet(text), Cube(within), None) for text, within in ORDER_CASES]
     cases += [(net, None, 3) for net in generated_nets(200, range(20))]
+    streams = (
+        ("fixed-points", lambda *args: map(Cube, fixed_points(*args))),
+        ("minimal-trap-spaces", minimal_trap_spaces),
+        ("maximal-trap-spaces", maximal_trap_spaces),
+    )
     for net, within, limit in cases:
-        for kind in ("fixed-points", "minimal-trap-spaces", "maximal-trap-spaces"):
+        for kind, stream in streams:
             digest.update(kind.encode())
-            for cube in solver.run_query(net, Query(kind, within, limit)):
+            for cube in stream(net, within, limit):
                 digest.update(b" " + str(cube).encode())
             digest.update(b"\n")
     assert digest.hexdigest() == STREAM_DIGEST
