@@ -95,7 +95,8 @@ def _start(net, within, limit, deadline):
 
 
 def _branch_order(net, scope):
-    return sorted(scope, key=lambda i: (-net.occ_count[i], i))
+    # the scope ascends and a reverse sort is stable: ties keep index order
+    return sorted(scope, key=net.occ_count.__getitem__, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +377,7 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
                     return ((comp, next(iter(opts))),), why
         return no_implications
 
-    def assign(comp, sym, why, fun_queue, clause_queue):
+    def assign(comp, sym, why, fun_queue, clause_queue, recheck=True):
         values[comp] = sym
         reasons[comp] = why
         if sym != FREE and unassigned_support[comp] and not (
@@ -391,16 +392,20 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
             ):
                 heapq.heappush(heap, (unassigned_support[t], t))
             fun_queue.append(t)
-        fun_queue.append(comp)
-        clause_queue.extend(clauses_assign(comp, sym))
+        if recheck:
+            fun_queue.append(comp)
+        if lit_by_var[comp]:
+            clause_queue.extend(clauses_assign(comp, sym))
 
     def propagate(fun_queue, clause_queue):
         """None at the fixpoint, else the levels the conflict rests on."""
         while fun_queue or clause_queue:
             clock.poll()
             if fun_queue:
-                implied, why = check_function(fun_queue.pop())
+                checked = fun_queue.pop()
+                implied, why = check_function(checked)
             else:
+                checked = None
                 implied, why = check_clause(clause_queue.pop())
             if implied is None:
                 return why
@@ -412,7 +417,10 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
                     continue
                 if sym not in allowed[comp]:
                     return why
-                assign(comp, sym, why, fun_queue, clause_queue)
+                # A component that its own check set is not queued to check
+                # itself: that check sees the value it just concluded and
+                # concludes nothing, with or without a self-loop.
+                assign(comp, sym, why, fun_queue, clause_queue, comp != checked)
         return None
 
     def decide(var, sym, level):
@@ -423,7 +431,8 @@ def _trap_search(net, allowed, or_clauses, prefer_free, clock, scope=None, block
     def backtrack_to(mark):
         while len(trail) > mark:
             comp = trail.pop()
-            clauses_unassign(comp, values[comp])
+            if lit_by_var[comp]:
+                clauses_unassign(comp, values[comp])
             values[comp] = _UNASSIGNED
             settled[comp] = False
             for t in dependents[comp]:
@@ -575,14 +584,16 @@ def _simulate(net, state, steps, clock):
     x_k[t] only if some regulator of t changed at step k.  A dependent is
     woken once per step, by stamping it with the step number, and its DNF
     is evaluated in place on x_k; the flips are applied after the step's
-    last evaluation.  A step that changes nothing has reached a fixed
-    point, which ends the simulation.
+    last evaluation.  A copy, whose DNF is one single-literal clause, needs
+    no evaluation: for k >= 1, x_k[t] is that literal of x_{k-1} at its
+    regulator, so it flips exactly one step after its regulator changes.
+    A step that changes nothing has reached a fixed point, which ends the
+    simulation.
 
     Every trajectory ends in a cycle, found by Brent's method: the state
     x_s saved at step s is compared with x_{s+1}, ..., x_{s+2^j}, and
-    x_{s+2^j} becomes the next saved state.  The comparison is a count of
-    the components where x_k and x_s differ, kept up to date from the
-    changed components, so memory stays one extra state.  Once x_k = x_s
+    x_{s+2^j} becomes the next saved state.  The comparison is one list
+    comparison per step, so memory stays one extra state.  Once x_k = x_s
     the trajectory repeats with period p = k - s, and x_steps is
     x_{k + (steps - k) mod p}: only that many more steps are taken.  The
     clock is checked before every step.
@@ -590,31 +601,37 @@ def _simulate(net, state, steps, clock):
     clock.check_now()
     values = list(net.image(state))
     changed = [i for i, (new, old) in enumerate(zip(values, state)) if new != old]
-    dnfs = [fn.dnf for fn in net.functions]
+    # None marks a copy; its one regulator wakes it at most once per step
+    dnfs = [
+        None if len(fn.dnf) == 1 == len(fn.dnf[0]) else fn.dnf for fn in net.functions
+    ]
     dependents = net.dependents
     # woken_at[t] == k: t was already evaluated at step k
     woken_at = [0] * net.n
-    # saved: x_since, or None once the period is known; diff: the number
-    # of components where the current state and x_since differ
-    saved, since, power, diff = state, 0, 1, len(changed)
+    # saved: x_since, or None once the period is known
+    saved, since, power = list(state), 0, 1
     k, end = 1, steps
     while k < end and changed:
         if saved is not None:
-            if not diff:
+            if values == saved:
                 end = k + (end - k) % (k - since)
                 saved = None
                 continue
             if k - since == power:
-                saved, since, power, diff = tuple(values), k, 2 * power, 0
+                saved, since, power = values[:], k, 2 * power
         clock.check_now()
         flips = []
         for i in changed:
             for t in dependents[i]:
+                dnf = dnfs[t]
+                if dnf is None:
+                    flips.append(t)
+                    continue
                 if woken_at[t] == k:
                     continue
                 woken_at[t] = k
                 new = 0
-                for clause in dnfs[t]:
+                for clause in dnf:
                     for comp, val in clause:
                         if values[comp] != val:
                             break
@@ -626,9 +643,6 @@ def _simulate(net, state, steps, clock):
         changed = flips
         for t in changed:
             values[t] = 1 - values[t]
-        if saved is not None:
-            for t in changed:
-                diff += 1 if values[t] != saved[t] else -1
         k += 1
     return tuple(values)
 
@@ -836,8 +850,9 @@ def _minimize_trap(net, trap, clock):
     speed: every search answer is minimal as it stands.
 
     Exact phase: one pass over the strongly connected components of the
-    free subnetwork, regulators first.  Each is percolated; if more than
-    one member stays free, or one with a self-loop, the domain filter and
+    free subnetwork, regulators first.  Each is percolated, a lone member
+    without a self-loop by one evaluation; if more than one member stays
+    free, or one with a self-loop, the domain filter and
     a FREE-last search scoped to them look for a trap space fixing one,
     and its first answer replaces the current values.
 
@@ -861,6 +876,13 @@ def _minimize_trap(net, trap, clock):
     values = list(trap.values)
     free_set = {i for i, v in enumerate(values) if v == FREE}
     for scc in _free_sccs(net, free_set, clock):
+        i = scc[0]
+        if len(scc) == 1 and i not in net.functions[i].support:
+            clock.poll()
+            mask = eval_mask(net.functions[i], values)
+            if mask != 3:
+                values[i] = 0 if mask == 1 else 1
+            continue
         free = _percolate_down(net, values, set(scc), clock)
         if len(free) < 2 and not any(i in net.dependents[i] for i in free):
             continue

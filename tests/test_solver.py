@@ -167,23 +167,69 @@ ORDER_CASES = [
 STREAM_DIGEST = "0ab485a5070a72d85ac4940d4fc64664740269d7751a30a8fefad37810d1d5f2"
 
 
-def test_stream_order_is_pinned():
+STREAMS = (
+    ("fixed-points", lambda *args: map(Cube, fixed_points(*args))),
+    ("minimal-trap-spaces", minimal_trap_spaces),
+    ("maximal-trap-spaces", maximal_trap_spaces),
+)
+
+
+def stream_digest(cases):
+    """SHA-256 of the fix, min and max streams of `(net, within, limit)`."""
     digest = hashlib.sha256()
-    cases = [(net, within, None) for net, within in identity_cases()]
-    cases += [(parse_bnet(text), Cube(within), None) for text, within in ORDER_CASES]
-    cases += [(net, None, 3) for net in generated_nets(200, range(20))]
-    streams = (
-        ("fixed-points", lambda *args: map(Cube, fixed_points(*args))),
-        ("minimal-trap-spaces", minimal_trap_spaces),
-        ("maximal-trap-spaces", maximal_trap_spaces),
-    )
     for net, within, limit in cases:
-        for kind, stream in streams:
+        for kind, stream in STREAMS:
             digest.update(kind.encode())
             for cube in stream(net, within, limit):
                 digest.update(b" " + str(cube).encode())
             digest.update(b"\n")
-    assert digest.hexdigest() == STREAM_DIGEST
+    return digest.hexdigest()
+
+
+def test_stream_order_is_pinned():
+    cases = [(net, within, None) for net, within in identity_cases()]
+    cases += [(parse_bnet(text), Cube(within), None) for text, within in ORDER_CASES]
+    cases += [(net, None, 3) for net in generated_nets(200, range(20))]
+    assert stream_digest(cases) == STREAM_DIGEST
+
+
+# Self-regulated functions and one-literal chains: the components whose own
+# check sets them, and the copies that the descent's simulation flips
+# without evaluating them.
+SELF_CASES = [
+    "a, !a",
+    "a, a",
+    "a, a\nb, b | a",
+    "a, !a\nb, b | a\nc, (c & b) | !a",
+    "a, a\nb, !b\nc, c | (a & !b)\nd, !d & c",
+    "a, b\nb, c\nc, !a",
+    "a, b\nb, !c\nc, d\nd, a",
+    "a, a\nb, a\nc, !b\nd, c\ne, !d",
+    "a, !a\nb, a\nc, b\nd, !c | d",
+    "a, !b\nb, !a\nc, c & a\nd, !c | d\ne, d",
+    "x, x | y\ny, !x\nz, y\nw, !z",
+    "h, h | !k\nk, h\np, h\nq, !h\nr, (p & q) | (!p & k)",
+    "a, 1\nb, a\nc, !b\nd, c & d\ne, !e | c",
+    "a, b & a\nb, !a | b\nc, !a\nd, c\ne, d | e",
+]
+
+
+# SHA-256 of the fix, min and max streams, in order, of `SELF_CASES`, each
+# without `within` and inside each of its cubes with one component fixed to
+# 0 (every answer).
+SELF_STREAM_DIGEST = "f08619194741e5d9fb9853d1358626fabe9e2721847620776ed7d062ac8936f4"
+
+
+def test_self_regulated_stream_order_is_pinned():
+    cases = []
+    for text in SELF_CASES:
+        net = parse_bnet(text)
+        cases.append((net, None, None))
+        for i in range(net.n):
+            within = [FREE] * net.n
+            within[i] = 0
+            cases.append((net, Cube(tuple(within)), None))
+    assert stream_digest(cases) == SELF_STREAM_DIGEST
 
 
 class CountedList(list):
@@ -475,25 +521,62 @@ def test_scc_domains_drop_certificates_when_a_probe_fails():
     assert got == sweep(net, [FREE, FREE], {0, 1}, clock) == {0: set(), 1: set()}
 
 
+def simulate_matches_images(net, x):
+    """Assert `_simulate` from x equals repeated images at several step
+    counts, those at and next to the descent's 60 included; returns x_60."""
+    images = [x]
+    for _ in range(60):
+        images.append(net.image(images[-1]))
+    clock = solver._Deadline(None)
+    for k in (1, 2, 3, 8, 59, 60):
+        assert solver._simulate(net, x, k, clock) == images[k], (x, k)
+    return images[60]
+
+
 def test_simulate_equals_repeated_image():
     nets = [random_network(seed, 3 + seed % 6) for seed in range(60)]
     nets.extend(generated_nets(200, range(3)))
     rng = random.Random(7)
-    clock = solver._Deadline(None)
     settled = cycling = 0
     for net in nets:
         for _ in range(4):
             x = tuple(rng.randint(0, 1) for _ in range(net.n))
-            images = [x]
-            for _ in range(60):
-                images.append(net.image(images[-1]))
-            for k in (1, 2, 8, 60):
-                assert solver._simulate(net, x, k, clock) == images[k]
-            if net.image(images[60]) == images[60]:
+            last = simulate_matches_images(net, x)
+            if net.image(last) == last:
                 settled += 1
             else:
                 cycling += 1
     assert settled > 20 and cycling > 20
+
+
+# Nets for the copy rule: a copy (one one-literal clause) flips one step
+# after its regulator changes, without evaluation.
+COPY_NETS = [
+    "a, b\nb, a",
+    "a, !b\nb, a",
+    "a, c\nb, a\nc, b",
+    "a, d\nb, a\nc, b\nd, c",
+    "a, !c\nb, !a\nc, b",
+    "a, !d\nb, a\nc, b\nd, c",
+    "a, !e\nb, a\nc, !b\nd, c\ne, d",
+    "a, !a",
+    "a, a",
+    "a, !a\nb, b\nc, a\nd, !b\ne, c",
+    "k, 1\nz, 0\na, k\nb, !k\nc, !z\nd, a\ne, !d",
+    "h, !h | (x & y)\nx, h\ny, !h\na, h\nb, !h\nc, h & b\nd, (h & a) | !b",
+]
+
+
+def test_simulate_copy_rule_equals_repeated_image():
+    # Every start state, so some copy's regulator does not change at step 1.
+    cycling = 0
+    for text in COPY_NETS:
+        net = parse_bnet(text)
+        for code in range(2**net.n):
+            x = tuple((code >> i) & 1 for i in range(net.n))
+            last = simulate_matches_images(net, x)
+            cycling += net.image(last) != last
+    assert cycling > 100
 
 
 class CountingClock(solver._Deadline):
@@ -534,6 +617,26 @@ def test_free_sccs_polls_the_clock_per_component():
     expired = solver._Deadline(time.monotonic() - 1.0)
     with pytest.raises(solver.SolverTimeout):
         solver._free_sccs(net, set(range(n)), expired)
+
+
+def test_descent_polls_the_clock_over_singleton_sccs(monkeypatch):
+    # Every free SCC is a singleton: x0 with its self-loop, then a chain of
+    # copies, each percolated by one evaluation.  The deadline expires once
+    # the SCCs are listed, so only the pass over them can notice it.
+    n = 2000
+    text = "x0, !x0\n" + "".join("x%d, x%d\n" % (i, i - 1) for i in range(1, n))
+    net = parse_bnet(text)
+    free_sccs = solver._free_sccs
+
+    def expiring(net, free_set, clock):
+        sccs = free_sccs(net, free_set, clock)
+        assert len(sccs) == n
+        clock.at = time.monotonic() - 1.0
+        return sccs
+
+    monkeypatch.setattr(solver, "_free_sccs", expiring)
+    with pytest.raises(solver.SolverTimeout):
+        next(minimal_trap_spaces(net, deadline=time.monotonic() + 60.0))
 
 
 def test_closure_polls_the_clock():
